@@ -212,15 +212,6 @@ def concat(tensors, axis=0):
     return out
 
 
-def stack(tensors, axis=0):
-    expanded = []
-    for t in tensors:
-        shape = list(t.data.shape)
-        shape.insert(axis if axis >= 0 else len(shape) + 1 + axis, 1)
-        expanded.append(reshape(t, tuple(shape)))
-    return concat(expanded, axis=axis)
-
-
 def tsum(x, axis=None, keepdims=False):
     x = _as_tensor(x)
     req = x.requires_grad
@@ -236,11 +227,6 @@ def tsum(x, axis=None, keepdims=False):
                 x._accum(np.broadcast_to(g, x.data.shape))
         out._backward = _bw
     return out
-
-
-def tmean(x):
-    x = _as_tensor(x)
-    return tsum(x) / x.data.size
 
 
 def tmax(x, axis):
@@ -304,10 +290,6 @@ def sigmoid(x):
     return out
 
 
-def square(x):
-    return mul(x, x)
-
-
 def logsumexp_t(x, axis):
     """Max-shifted log-sum-exp along one axis (graph op)."""
     x = _as_tensor(x)
@@ -359,7 +341,8 @@ def backward(loss):
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     if not np.isfinite(loss.data).all():
         raise NumericError("loss is not finite")
-    # iterative topological order; LSTM graphs are too deep for recursion
+    # iterative topological order; per-step CRF graphs of long sentences
+    # are too deep for recursion
     topo = []
     visited = set()
     work = [(loss, False)]

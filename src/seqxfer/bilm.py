@@ -82,27 +82,114 @@ def architecture(config, n_chars, n_words):
 # forward pieces -----------------------------------------------------
 
 
+def _gate_constants(H):
+    """Per-column (scale, shift) such that scale*tanh(scale*z) + shift maps
+    the [i, f, g, o] pre-activations to sigmoid(i), sigmoid(f), tanh(g),
+    sigmoid(o) with one tanh.  A sigmoid is 0.5*(tanh(0.5x)+1), as in
+    `ad.sigmoid`; scaling by 0.5 commutes with rounding, so each gate
+    equals its unfused value bit for bit."""
+    half = np.full(H, 0.5)
+    return (np.concatenate([half, half, np.ones(H), half]),
+            np.concatenate([half, half, np.zeros(H), half]))
+
+
 def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
-    """Run one LSTM layer over xs [B, T, D]; padded steps carry state through."""
+    """Run one LSTM layer over xs [B, T, D]; padded steps carry state through.
+
+    One graph node for the whole layer.  The input projection is computed
+    once for all steps, the recurrence in numpy, and the backward pass is
+    hand-written masked BPTT over the stored activations.
+    """
     B, T, _ = xs.data.shape
     H = Wh.data.shape[0]
-    h = ad.constant(np.zeros((B, H)))
-    c = ad.constant(np.zeros((B, H)))
-    outs = [None] * T
+    mask = np.asarray(mask, dtype=np.float64)
+    full = (mask == 1.0).all(axis=0)
+    scale, shift = _gate_constants(H)
+    Z = xs.data @ Wx.data + b.data
+    Whd = Wh.data
+    acts = np.empty((T, B, 4 * H))     # gate activations, per time index
+    tanh_c = np.empty((T, B, H))       # tanh of the step's new cell
+    hs = np.empty((B, T, H))           # carried h: the layer's output
+    cs = np.empty((T, B, H))           # carried c
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
-        gates = ad.matmul(xs[:, t, :], Wx) + ad.matmul(h, Wh) + b
-        i = ad.sigmoid(gates[:, :H])
-        f = ad.sigmoid(gates[:, H:2 * H])
-        g = ad.tanh(gates[:, 2 * H:3 * H])
-        o = ad.sigmoid(gates[:, 3 * H:])
-        c_new = f * c + i * g
-        h_new = o * ad.tanh(c_new)
-        m = mask[:, t:t + 1]
-        c = c_new * m + c * (1.0 - m)
-        h = h_new * m + h * (1.0 - m)
-        outs[t] = h
-    return ad.stack(outs, axis=1)
+        a = acts[t]
+        np.tanh((Z[:, t] + h @ Whd) * scale, out=a)
+        a *= scale
+        a += shift
+        c_new = a[:, H:2 * H] * c + a[:, :H] * a[:, 2 * H:3 * H]
+        tc = np.tanh(c_new, out=tanh_c[t])
+        h_new = a[:, 3 * H:] * tc
+        if full[t]:
+            c, h = c_new, h_new
+        else:
+            m = mask[:, t:t + 1]
+            c = c_new * m + c * (1.0 - m)
+            h = h_new * m + h * (1.0 - m)
+        cs[t] = c
+        hs[:, t] = h
+
+    parents = tuple(p for p in (xs, Wx, Wh, b) if p.requires_grad)
+    out = ad.Tensor(hs, requires_grad=bool(parents), _parents=parents)
+    if not parents:
+        return out
+
+    # masked BPTT; the closure must not refer to `out`, which would make
+    # the node a reference cycle that only the garbage collector frees
+    def _bw(g):
+        # state entering each step: the previous step's carried h and c
+        zero = np.zeros((B, 1, H))
+        if reverse:
+            h_prev = np.concatenate([hs[:, 1:], zero], axis=1)
+            c_prev = np.concatenate([cs[1:], zero.reshape(1, B, H)])
+        else:
+            h_prev = np.concatenate([zero, hs[:, :-1]], axis=1)
+            c_prev = np.concatenate([zero.reshape(1, B, H), cs[:-1]])
+        i, f = acts[..., :H], acts[..., H:2 * H]
+        gg, o = acts[..., 2 * H:3 * H], acts[..., 3 * H:]
+        # dz of each gate is (dc_new or dh_new) times one of these factors
+        factors = np.empty((T, B, 4, H))
+        factors[:, :, 0] = gg * i * (1.0 - i)
+        factors[:, :, 1] = c_prev * f * (1.0 - f)
+        factors[:, :, 2] = i * (1.0 - gg * gg)
+        factors[:, :, 3] = tanh_c * o * (1.0 - o)
+        dc_from_h = o * (1.0 - tanh_c * tanh_c)
+        Wh_T = Whd.T
+        dZ = np.empty((T, B, 4, H))
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in reversed(steps):
+            dh_tot = g[:, t] + dh
+            if full[t]:
+                dh_new = dh_tot
+                dc_new = dc + dh_new * dc_from_h[t]
+            else:
+                m = mask[:, t:t + 1]
+                dh_new = m * dh_tot
+                dc_new = m * dc + dh_new * dc_from_h[t]
+            dz = dZ[t]
+            np.multiply(dc_new[:, None, :], factors[t, :, :3], out=dz[:, :3])
+            np.multiply(dh_new, factors[t, :, 3], out=dz[:, 3])
+            dh_prev = dz.reshape(B, 4 * H) @ Wh_T
+            dc_prev = f[t] * dc_new
+            if not full[t]:
+                dh_prev += (1.0 - m) * dh_tot
+                dc_prev += (1.0 - m) * dc
+            dh, dc = dh_prev, dc_prev
+        # one row per (b, t), in the order of xs
+        dZ = dZ.reshape(T, B, 4 * H).transpose(1, 0, 2).reshape(B * T, 4 * H)
+        if xs.requires_grad:
+            xs._accum((dZ @ Wx.data.T).reshape(xs.data.shape))
+        if Wx.requires_grad:
+            Wx._accum(xs.data.reshape(B * T, -1).T @ dZ)
+        if Wh.requires_grad:
+            Wh._accum(h_prev.reshape(B * T, H).T @ dZ)
+        if b.requires_grad:
+            b._accum(dZ.sum(axis=0))
+    out._backward = _bw
+    return out
 
 
 def encode_batch_words(batch, params, config):

@@ -6,8 +6,11 @@ manifest index order.  Loading validates each declared shape against the
 payload; save -> load -> save is byte-identical.
 """
 
+import contextlib
 import hashlib
 import json
+import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -57,25 +60,33 @@ class Checkpoint:
         doc["char_vocab"] = self.char_vocab.to_dict() if self.char_vocab else None
         text = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
         blob = text.encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(f"{len(blob)}\n".encode("ascii"))
-            fh.write(blob)
-            fh.write(bytes(payload))
+        # write beside the target, then rename over it: a failed write
+        # leaves any previous checkpoint at `path` untouched
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(MAGIC)
+                fh.write(f"{len(blob)}\n".encode("ascii"))
+                fh.write(blob)
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path):
         with open(path, "rb") as fh:
             if fh.read(len(MAGIC)) != MAGIC:
                 raise DataError(f"{path}: not a seqxfer checkpoint")
-            length = int(fh.readline().strip())
-            doc = json.loads(fh.read(length).decode("utf-8"))
+            doc = _read_manifest(fh, path)
             payload = fh.read()
         tensors = {}
         offset = 0
         for entry in doc["tensor_index"]:
             shape = tuple(entry["shape"])
-            nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+            nbytes = math.prod(shape) * 8
             if offset + nbytes > len(payload):
                 raise DataError(
                     f"{path}: tensor {entry['name']!r} declared shape {shape} "
@@ -85,8 +96,11 @@ class Checkpoint:
             offset += nbytes
         if offset != len(payload):
             raise DataError(f"{path}: {len(payload) - offset} trailing payload bytes")
-        word_vocab = Vocabulary.from_dict(doc["word_vocab"]) if doc.get("word_vocab") else None
-        char_vocab = Vocabulary.from_dict(doc["char_vocab"]) if doc.get("char_vocab") else None
+        try:
+            word_vocab = Vocabulary.from_dict(doc["word_vocab"]) if doc.get("word_vocab") else None
+            char_vocab = Vocabulary.from_dict(doc["char_vocab"]) if doc.get("char_vocab") else None
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed vocabulary: {exc!r}") from None
         manifest = {k: v for k, v in doc.items()
                     if k not in ("tensor_index", "word_vocab", "char_vocab")}
         return cls(manifest, tensors, word_vocab, char_vocab)
@@ -105,6 +119,33 @@ class Checkpoint:
             h.update(name.encode("utf-8"))
             h.update(np.ascontiguousarray(self.tensors[name], dtype="<f8").tobytes())
         return h.hexdigest()
+
+
+def _read_manifest(fh, path):
+    """The JSON manifest after the magic line, checked far enough that
+    walking its tensor index cannot fail with anything but DataError."""
+    line = fh.readline()
+    try:
+        length = int(line)
+    except ValueError:
+        raise DataError(f"{path}: bad manifest length line {line[:32]!r}") from None
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= length <= remaining:
+        raise DataError(f"{path}: manifest length {length} does not fit the "
+                        f"{remaining} bytes that follow")
+    try:
+        doc = json.loads(fh.read(length).decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: manifest is not UTF-8 JSON: {exc}") from None
+    index = doc.get("tensor_index") if isinstance(doc, dict) else None
+    if not isinstance(index, list):
+        raise DataError(f"{path}: manifest has no tensor_index list")
+    for entry in index:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise DataError(f"{path}: malformed tensor_index entry {entry!r:.80}")
+    return doc
 
 
 def tensor_checksum(arr):

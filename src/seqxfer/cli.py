@@ -277,8 +277,6 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_analyze(args, cfg):
-    if len(args.corpus) < 1 or not args.test:
-        raise DataError("analyze needs --corpus A and --test B (reference)")
     a = corpus_mod.read_conll(args.corpus[0])
     b = corpus_mod.read_conll(args.test)
     print(evaluation.overlap_report(a, b, name_a=args.corpus[0], name_b=args.test),
@@ -297,38 +295,47 @@ def cmd_convert_bio(args, cfg):
 
 # wiring -------------------------------------------------------------
 
+# command -> (handler, flags it cannot run without)
 COMMANDS = {
-    "pretrain-lm": cmd_pretrain_lm,
-    "finetune-lm": cmd_finetune_lm,
-    "train-ner": cmd_train_ner,
-    "train-pos": cmd_train_pos,
-    "transfer-init": cmd_transfer_init,
-    "evaluate": cmd_evaluate,
-    "analyze": cmd_analyze,
-    "convert-bio": cmd_convert_bio,
+    "pretrain-lm": (cmd_pretrain_lm, ("corpus", "out")),
+    "finetune-lm": (cmd_finetune_lm, ("init", "corpus", "out")),
+    "train-ner": (cmd_train_ner, ("train", "out")),
+    "train-pos": (cmd_train_pos, ("train", "out")),
+    "transfer-init": (cmd_transfer_init, ("init", "train", "out")),
+    "evaluate": (cmd_evaluate, ("gold", "pred")),
+    "analyze": (cmd_analyze, ("corpus", "test")),
+    "convert-bio": (cmd_convert_bio, ("corpus", "out")),
 }
 
 
+FLAGS = (
+    ("--config", {}),
+    ("--seed", {"type": int}),
+    ("--init", {}),
+    ("--corpus", {"action": "append", "default": []}),
+    ("--train", {}),
+    ("--dev", {}),
+    ("--test", {}),
+    ("--vectors", {}),
+    ("--gold", {}),
+    ("--pred", {}),
+    ("--epochs", {"type": int}),
+    ("--patience", {"type": int}),
+    ("--head", {"choices": ["crf", "softmax"]}),
+    ("--out", {}),
+    ("--policy", {}),
+)
+
+
 def build_parser():
+    """A missing required flag is a usage error: argparse names it and
+    exits with code 2 before any work runs."""
     parser = argparse.ArgumentParser(prog="seqxfer")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, required) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--init")
-        p.add_argument("--corpus", action="append", default=[])
-        p.add_argument("--train")
-        p.add_argument("--dev")
-        p.add_argument("--test")
-        p.add_argument("--vectors")
-        p.add_argument("--gold")
-        p.add_argument("--pred")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--head", choices=["crf", "softmax"])
-        p.add_argument("--out")
-        p.add_argument("--policy")
+        for option, kwargs in FLAGS:
+            p.add_argument(option, required=option[2:] in required, **kwargs)
     return parser
 
 
@@ -347,7 +354,7 @@ def run(argv):
     try:
         cfg = load_config(args.config, {k: v for k, v in overrides.items()
                                         if v is not None})
-        return COMMANDS[args.command](args, cfg)
+        return COMMANDS[args.command][0](args, cfg)
     except (DataError, ContractError, TransferError, NumericError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

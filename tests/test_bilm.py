@@ -42,6 +42,103 @@ def numpy_lstm(xs, Wx, Wh, b, reverse=False):
     return np.stack(outs, axis=1)
 
 
+def reference_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
+    """The unfused LSTM layer: one autodiff graph of scalar ops per time
+    step.  `bilm.lstm_forward` must agree with it in value and gradient."""
+    B, T, _ = xs.data.shape
+    H = Wh.data.shape[0]
+    h = ad.constant(np.zeros((B, H)))
+    c = ad.constant(np.zeros((B, H)))
+    outs = [None] * T
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    for t in steps:
+        gates = ad.matmul(xs[:, t, :], Wx) + ad.matmul(h, Wh) + b
+        i = ad.sigmoid(gates[:, :H])
+        f = ad.sigmoid(gates[:, H:2 * H])
+        g = ad.tanh(gates[:, 2 * H:3 * H])
+        o = ad.sigmoid(gates[:, 3 * H:])
+        c_new = f * c + i * g
+        h_new = o * ad.tanh(c_new)
+        m = mask[:, t:t + 1]
+        c = c_new * m + c * (1.0 - m)
+        h = h_new * m + h * (1.0 - m)
+        outs[t] = ad.reshape(h, (B, 1, H))
+    return ad.concat(outs, axis=1)
+
+
+def ragged_mask(lengths, T):
+    return (np.arange(T)[None, :] < np.asarray(lengths)[:, None]).astype(float)
+
+
+class TestFusedLSTMOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_unfused_graph(self, seed, reverse):
+        rng = np.random.default_rng(seed)
+        B, D, H = 4, int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        # the longest row stops short of T: the last steps are padding in
+        # every row; one row is padding throughout and one has holes, so
+        # a padded step's carried state feeds a later real step
+        T = 7
+        mask = ragged_mask([5, int(rng.integers(1, 6)), 0, 0], T)
+        mask[2, [0, 2, 3]] = 1.0
+        arrays = {"xs": rng.normal(size=(B, T, D)),
+                  "Wx": rng.normal(size=(D, 4 * H)) * 0.5,
+                  "Wh": rng.normal(size=(H, 4 * H)) * 0.5,
+                  "b": rng.normal(size=4 * H) * 0.5}
+        cotangent = rng.normal(size=(B, T, H))
+        results = []
+        for fn in (reference_lstm_forward, bilm.lstm_forward):
+            params = {k: ad.parameter(k, v.copy()) for k, v in arrays.items()}
+            out = fn(params["xs"], mask, params["Wx"], params["Wh"],
+                     params["b"], reverse=reverse)
+            grads = ad.reverse_gradients((out * cotangent).sum(), params)
+            results.append((out.data, grads))
+        (want, want_grads), (got, got_grads) = results
+        assert np.abs(got - want).max() < 1e-12
+        for name in arrays:
+            assert np.abs(got_grads[name] - want_grads[name]).max() < 1e-12, name
+
+    def test_one_node_per_layer_without_cycles(self):
+        rng = np.random.default_rng(0)
+        xs = ad.parameter("xs", rng.normal(size=(2, 4, 3)))
+        Wx = ad.constant(rng.normal(size=(3, 8)))
+        Wh = ad.parameter("Wh", rng.normal(size=(2, 8)))
+        b = ad.constant(np.zeros(8))
+        out = bilm.lstm_forward(xs, np.ones((2, 4)), Wx, Wh, b)
+        assert out._parents == (xs, Wh)
+        cells = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(c is out for c in cells)
+
+    def test_constant_inputs_record_no_graph(self):
+        rng = np.random.default_rng(0)
+        out = bilm.lstm_forward(ad.constant(rng.normal(size=(1, 3, 2))),
+                                np.ones((1, 3)), ad.constant(np.ones((2, 8))),
+                                ad.constant(np.ones((2, 8))),
+                                ad.constant(np.zeros(8)))
+        assert not out.requires_grad and out._backward is None
+
+    def test_ragged_reverse_matches_finite_differences(self):
+        rng = np.random.default_rng(3)
+        B, T, D, H = 3, 5, 3, 4
+        mask = ragged_mask([5, 3, 1], T)
+        mask[2, 3] = 1.0    # state carried over padding into a real step
+        params = {
+            "xs": ad.parameter("xs", rng.normal(size=(B, T, D))),
+            "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), "glorot", 1)),
+            "Wh": ad.parameter("Wh", ad.seeded_init((H, 4 * H), "glorot", 2)),
+            "b": ad.parameter("b", rng.normal(size=4 * H) * 0.3),
+        }
+        cotangent = rng.normal(size=(B, T, H))
+
+        def loss_fn():
+            out = bilm.lstm_forward(params["xs"], mask, params["Wx"],
+                                    params["Wh"], params["b"], reverse=True)
+            return (out * cotangent).sum()
+
+        assert ad.finite_difference_check(loss_fn, params) < 1e-4
+
+
 class TestLSTM:
     def test_matches_numpy_reference_both_directions(self):
         rng = np.random.default_rng(0)

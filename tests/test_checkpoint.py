@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from seqxfer import checkpoint as checkpoint_mod
 from seqxfer.checkpoint import MAGIC, Checkpoint, tensor_checksum
 from seqxfer.corpus import build_char_vocab, build_vocab
 from seqxfer.errors import DataError
@@ -87,6 +88,111 @@ class TestValidation:
         (tmp_path / "fat.ckpt").write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(DataError, match="trailing"):
             Checkpoint.load(tmp_path / "fat.ckpt")
+
+
+def _with_header(length_line, manifest):
+    return MAGIC + length_line + b"\n" + manifest
+
+
+class TestMalformedHeader:
+    def test_non_integer_length_line(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_with_header(b"twelve", b"{}"))
+        with pytest.raises(DataError, match="m.ckpt: bad manifest length"):
+            Checkpoint.load(path)
+
+    def test_length_past_end_of_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_with_header(b"4096", b"{}"))
+        with pytest.raises(DataError, match="m.ckpt: manifest length 4096"):
+            Checkpoint.load(path)
+
+    def test_truncated_manifest_json(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        body = b'{"tensor_index": ['
+        path.write_bytes(_with_header(str(len(body)).encode(), body))
+        with pytest.raises(DataError, match="m.ckpt: manifest is not UTF-8 JSON"):
+            Checkpoint.load(path)
+
+    def test_non_utf8_manifest(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        body = b'{"kind": "\xff\xfe"}'
+        path.write_bytes(_with_header(str(len(body)).encode(), body))
+        with pytest.raises(DataError, match="m.ckpt: manifest is not UTF-8 JSON"):
+            Checkpoint.load(path)
+
+    def test_missing_tensor_index(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        body = b'{"kind": "bilm"}'
+        path.write_bytes(_with_header(str(len(body)).encode(), body))
+        with pytest.raises(DataError, match="m.ckpt: manifest has no tensor_index"):
+            Checkpoint.load(path)
+
+    def test_malformed_tensor_index_entry(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        body = b'{"tensor_index": [{"name": "w", "shape": [-2]}]}'
+        path.write_bytes(_with_header(str(len(body)).encode(), body))
+        with pytest.raises(DataError, match="m.ckpt: malformed tensor_index"):
+            Checkpoint.load(path)
+
+    def test_huge_declared_shape(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        body = b'{"tensor_index": [{"name": "w", "shape": [4611686018427387904, 4]}]}'
+        path.write_bytes(_with_header(str(len(body)).encode(), body) + b"\0" * 8)
+        with pytest.raises(DataError, match="m.ckpt: tensor 'w'.*exceeds payload"):
+            Checkpoint.load(path)
+
+    def test_malformed_vocabulary(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        body = b'{"tensor_index": [], "word_vocab": {"symbols": ["a"]}}'
+        path.write_bytes(_with_header(str(len(body)).encode(), body))
+        with pytest.raises(DataError, match="m.ckpt: malformed vocabulary"):
+            Checkpoint.load(path)
+
+
+class _FailingWrites:
+    """File wrapper whose last write stops halfway with a disk-full error."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.calls, self.fail_at = fh, 0, fail_at
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            self.fh.write(bytes(data)[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        _sample(0).save(path)
+        before = path.read_bytes()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            return _FailingWrites(open(file, mode, *args, **kwargs), fail_at=4)
+
+        monkeypatch.setattr(checkpoint_mod, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            _sample(1).save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+    def test_overwrite_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _sample(0).save(path)
+        _sample(1).save(path)
+        back = Checkpoint.load(path)
+        assert back.digest() == _sample(1).digest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
 class TestDigest:

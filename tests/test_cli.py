@@ -83,6 +83,44 @@ class TestExitCodes:
         assert code == 1
         capsys.readouterr()
 
+    def test_malformed_checkpoint_is_1(self, ws, capsys):
+        (ws / "bad.ckpt").write_bytes(b"SEQXFER1\nnot-a-length\n{}")
+        code = _run(["finetune-lm", "--init", ws / "bad.ckpt",
+                     "--corpus", ws / "lm.txt", "--out", ws / "ft.ckpt"])
+        assert code == 1
+        assert "bad manifest length" in capsys.readouterr().err
+
+
+class TestRequiredFlags:
+    @pytest.mark.parametrize("argv, missing", [
+        (["pretrain-lm", "--corpus", "lm.txt"], "--out"),
+        (["pretrain-lm", "--out", "x.ckpt"], "--corpus"),
+        (["finetune-lm", "--corpus", "lm.txt", "--out", "x.ckpt"], "--init"),
+        (["train-ner", "--out", "x.ckpt"], "--train"),
+        (["train-pos", "--train", "train.conll"], "--out"),
+        (["transfer-init", "--init", "x.ckpt", "--out", "y.ckpt"], "--train"),
+        (["evaluate", "--gold", "train.conll"], "--pred"),
+        (["analyze", "--corpus", "train.conll"], "--test"),
+        (["convert-bio", "--out", "bio.conll"], "--corpus"),
+    ])
+    def test_missing_flag_is_2_and_named(self, ws, capsys, monkeypatch, argv, missing):
+        monkeypatch.chdir(ws)
+        assert _run(argv) == 2
+        assert missing in capsys.readouterr().err
+        # nothing ran: no output file was written
+        assert sorted(p.name for p in ws.iterdir()) == [
+            "lm.txt", "test.conll", "tiny.cfg", "train.conll"]
+
+    def test_pretrain_without_out_does_not_train(self, ws, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking flags")
+
+        monkeypatch.setattr(cli.bilm_mod, "train_lm", no_training)
+        assert _run(["pretrain-lm", "--config", ws / "tiny.cfg",
+                     "--corpus", ws / "lm.txt", "--epochs", 1]) == 2
+        assert "--out" in capsys.readouterr().err
+
+
 
 class TestEvaluateAnalyzeConvert:
     def test_evaluate_prints_metrics(self, ws, capsys):
