@@ -19,4 +19,4 @@ from .transfer import (TransferPolicy, TransferReport, build_shared_char_vocab,
                        map_label_space, transfer_init)
 from .bilm import (BiLMConfig, bilm_loss, contextual_repr, perplexity,
                    replace_vocab_head, train_lm)
-from .encoder import CharEncoderConfig, char_ids, encode_word, highway_forward
+from .encoder import CharEncoderConfig, encode_word, highway_forward

@@ -16,12 +16,13 @@ from .errors import ContractError, NumericError
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None, _parents=()):
+    def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
-        self._parents = _parents
+        # a leaf; `node` records where a computed tensor came from
+        self._parents = ()
         self._backward = None
 
     @property
@@ -106,35 +107,45 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def node(data, parents, backward):
+    """The one constructor of graph nodes.
+
+    Records only the parents that require grad, and attaches `backward`
+    only when there is at least one; otherwise the result is a constant.
+    Every op builds its closure before calling this, so no closure can
+    refer to the node it belongs to, and no node is a reference cycle.
+    """
+    parents = tuple(p for p in parents if p.requires_grad)
+    out = Tensor(data, requires_grad=bool(parents))
+    if parents:
+        out._parents = parents
+        out._backward = backward
+    return out
+
+
 # primitive operations ----------------------------------------------
+# Each op ends in `return node(value, inputs, _bw)`.  A closure that
+# needs the op's result captures the array, never the output Tensor.
 
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(a.data + b.data, requires_grad=req, _parents=(a, b) if req else ())
-    if req:
-        def _bw(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g, b.data.shape))
-        out._backward = _bw
-    return out
+    def _bw(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.data.shape))
+    return node(a.data + b.data, (a, b), _bw)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(a.data * b.data, requires_grad=req, _parents=(a, b) if req else ())
-    if req:
-        def _bw(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.data.shape))
-        out._backward = _bw
-    return out
+    def _bw(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(g * a.data, b.data.shape))
+    return node(a.data * b.data, (a, b), _bw)
 
 
 def matmul(x, w):
@@ -142,152 +153,105 @@ def matmul(x, w):
     x, w = _as_tensor(x), _as_tensor(w)
     if w.data.ndim != 2:
         raise ContractError(f"matmul right operand must be 2-d, got shape {w.data.shape}")
-    req = x.requires_grad or w.requires_grad
-    out = Tensor(x.data @ w.data, requires_grad=req, _parents=(x, w) if req else ())
-    if req:
-        def _bw(g):
-            if x.requires_grad:
-                x._accum(g @ w.data.T)
-            if w.requires_grad:
-                n, m = w.data.shape
-                w._accum(x.data.reshape(-1, n).T @ g.reshape(-1, m))
-        out._backward = _bw
-    return out
+    def _bw(g):
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            n, m = w.data.shape
+            w._accum(x.data.reshape(-1, n).T @ g.reshape(-1, m))
+    return node(x.data @ w.data, (x, w), _bw)
 
 
 def transpose(x):
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ContractError("transpose expects a 2-d tensor")
-    req = x.requires_grad
-    out = Tensor(x.data.T, requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            x._accum(g.T)
-        out._backward = _bw
-    return out
+    def _bw(g):
+        x._accum(g.T)
+    return node(x.data.T, (x,), _bw)
 
 
 def reshape(x, shape):
     x = _as_tensor(x)
-    req = x.requires_grad
-    out = Tensor(x.data.reshape(shape), requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            x._accum(g.reshape(x.data.shape))
-        out._backward = _bw
-    return out
+    def _bw(g):
+        x._accum(g.reshape(x.data.shape))
+    return node(x.data.reshape(shape), (x,), _bw)
 
 
 def getitem(x, key):
     """Slicing and integer-array gathers; backward scatter-adds."""
     x = _as_tensor(x)
-    req = x.requires_grad
-    out = Tensor(x.data[key], requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, key, g)
-            x._accum(gx)
-        out._backward = _bw
-    return out
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, key, g)
+        x._accum(gx)
+    return node(x.data[key], (x,), _bw)
 
 
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 requires_grad=req, _parents=tuple(tensors) if req else ())
-    if req:
-        sizes = [t.data.shape[axis] for t in tensors]
-        def _bw(g):
-            offset = 0
-            for t, s in zip(tensors, sizes):
-                if t.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(offset, offset + s)
-                    t._accum(g[tuple(idx)])
-                offset += s
-        out._backward = _bw
-    return out
+    def _bw(g):
+        offset = 0
+        for t in tensors:
+            s = t.data.shape[axis]
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(offset, offset + s)
+                t._accum(g[tuple(idx)])
+            offset += s
+    return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _bw)
 
 
 def tsum(x, axis=None, keepdims=False):
     x = _as_tensor(x)
-    req = x.requires_grad
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims),
-                 requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            if axis is None:
-                x._accum(np.broadcast_to(g, x.data.shape))
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                x._accum(np.broadcast_to(g, x.data.shape))
-        out._backward = _bw
-    return out
+    def _bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accum(np.broadcast_to(g, x.data.shape))
+    return node(x.data.sum(axis=axis, keepdims=keepdims), (x,), _bw)
 
 
 def tmax(x, axis):
     """Max over one axis; the gradient flows to the first argmax only."""
     x = _as_tensor(x)
-    req = x.requires_grad
-    out = Tensor(x.data.max(axis=axis), requires_grad=req, _parents=(x,) if req else ())
-    if req:
+    def _bw(g):
         idx = np.expand_dims(x.data.argmax(axis=axis), axis)
-        def _bw(g):
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
-            x._accum(gx)
-        out._backward = _bw
-    return out
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
+        x._accum(gx)
+    return node(x.data.max(axis=axis), (x,), _bw)
 
 
 def exp(x):
     x = _as_tensor(x)
-    req = x.requires_grad
-    out = Tensor(np.exp(x.data), requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            x._accum(g * out.data)
-        out._backward = _bw
-    return out
+    y = np.exp(x.data)
+    def _bw(g):
+        x._accum(g * y)
+    return node(y, (x,), _bw)
 
 
 def log(x):
     x = _as_tensor(x)
-    req = x.requires_grad
-    out = Tensor(np.log(x.data), requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            x._accum(g / x.data)
-        out._backward = _bw
-    return out
+    def _bw(g):
+        x._accum(g / x.data)
+    return node(np.log(x.data), (x,), _bw)
 
 
 def tanh(x):
     x = _as_tensor(x)
-    req = x.requires_grad
-    out = Tensor(np.tanh(x.data), requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            x._accum(g * (1.0 - out.data * out.data))
-        out._backward = _bw
-    return out
+    y = np.tanh(x.data)
+    def _bw(g):
+        x._accum(g * (1.0 - y * y))
+    return node(y, (x,), _bw)
 
 
 def sigmoid(x):
     x = _as_tensor(x)
-    req = x.requires_grad
     # 0.5*(tanh(x/2)+1) is overflow-safe for large |x|
     s = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-    out = Tensor(s, requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            x._accum(g * out.data * (1.0 - out.data))
-        out._backward = _bw
-    return out
+    def _bw(g):
+        x._accum(g * s * (1.0 - s))
+    return node(s, (x,), _bw)
 
 
 def logsumexp_t(x, axis):
@@ -295,27 +259,18 @@ def logsumexp_t(x, axis):
     x = _as_tensor(x)
     m = x.data.max(axis=axis, keepdims=True)
     val = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
-    req = x.requires_grad
-    out = Tensor(np.squeeze(val, axis=axis), requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        soft = np.exp(x.data - val)
-        def _bw(g):
-            x._accum(np.expand_dims(g, axis) * soft)
-        out._backward = _bw
-    return out
+    def _bw(g):
+        x._accum(np.expand_dims(g, axis) * np.exp(x.data - val))
+    return node(np.squeeze(val, axis=axis), (x,), _bw)
 
 
 def log_softmax(x, axis=-1):
     x = _as_tensor(x)
     m = x.data.max(axis=axis, keepdims=True)
-    lse = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
-    req = x.requires_grad
-    out = Tensor(x.data - lse, requires_grad=req, _parents=(x,) if req else ())
-    if req:
-        def _bw(g):
-            x._accum(g - np.exp(out.data) * g.sum(axis=axis, keepdims=True))
-        out._backward = _bw
-    return out
+    y = x.data - (m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True)))
+    def _bw(g):
+        x._accum(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+    return node(y, (x,), _bw)
 
 
 # scalar helper ------------------------------------------------------
@@ -347,21 +302,21 @@ def backward(loss):
     visited = set()
     work = [(loss, False)]
     while work:
-        node, done = work.pop()
+        t, done = work.pop()
         if done:
-            topo.append(node)
+            topo.append(t)
             continue
-        if id(node) in visited:
+        if id(t) in visited:
             continue
-        visited.add(id(node))
-        work.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited and p.requires_grad:
+        visited.add(id(t))
+        work.append((t, True))
+        for p in t._parents:
+            if id(p) not in visited:
                 work.append((p, False))
     loss._accum(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    for t in reversed(topo):
+        if t._backward is not None and t.grad is not None:
+            t._backward(t.grad)
 
 
 def reverse_gradients(loss, params):

@@ -131,13 +131,7 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
         cs[t] = c
         hs[:, t] = h
 
-    parents = tuple(p for p in (xs, Wx, Wh, b) if p.requires_grad)
-    out = ad.Tensor(hs, requires_grad=bool(parents), _parents=parents)
-    if not parents:
-        return out
-
-    # masked BPTT; the closure must not refer to `out`, which would make
-    # the node a reference cycle that only the garbage collector frees
+    # masked BPTT over the stored activations
     def _bw(g):
         # state entering each step: the previous step's carried h and c
         zero = np.zeros((B, 1, H))
@@ -188,8 +182,7 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
             Wh._accum(h_prev.reshape(B * T, H).T @ dZ)
         if b.requires_grad:
             b._accum(dZ.sum(axis=0))
-    out._backward = _bw
-    return out
+    return ad.node(hs, (xs, Wx, Wh, b), _bw)
 
 
 def encode_batch_words(batch, params, config):
@@ -316,6 +309,8 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
         if config is not None:
             _check_architecture(init.architecture, config, len(char_vocab), len(vocab))
         config = init_config
+        init.check_tensors(init_bilm_params(config, init.architecture["n_chars"],
+                                            init.architecture["n_words"], 0))
         params = params_from_tensors(init.tensors)
         provenance = list(init.manifest.get("provenance", []))
         provenance.append({"event": "continue_training", "epochs": epochs})

@@ -47,6 +47,19 @@ class Checkpoint:
     def architecture(self):
         return self.manifest["architecture"]
 
+    def check_tensors(self, expected):
+        """DataError naming the first tensor of `expected` (name -> array
+        or Tensor of the wanted shape) that is missing or shaped otherwise."""
+        for name in sorted(expected):
+            want = tuple(expected[name].shape)
+            if name not in self.tensors:
+                raise DataError(f"checkpoint has no tensor {name!r} "
+                                f"(architecture expects shape {want})")
+            got = self.tensors[name].shape
+            if got != want:
+                raise DataError(f"checkpoint tensor {name!r} has shape {got}; "
+                                f"architecture expects {want}")
+
     def save(self, path):
         index = []
         payload = bytearray()

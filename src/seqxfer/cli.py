@@ -6,8 +6,6 @@ transfer-init, evaluate, analyze, convert-bio.  Exit codes: 0 success,
 """
 
 import argparse
-import logging
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -20,8 +18,6 @@ from . import evaluation, tagger as tagger_mod, transfer as transfer_mod
 from .checkpoint import Checkpoint
 from .encoder import CharEncoderConfig
 from .errors import ContractError, DataError, NumericError, TransferError
-
-log = logging.getLogger("seqxfer")
 
 
 @dataclass
@@ -104,25 +100,31 @@ def _emit(line):
 
 
 def _load_policy(path, source, target_labels=None):
+    """`group=action` lines, one per parameter group."""
     actions = {}
-    anchor = 0.0
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
+                                 start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise DataError(f"{where}: expected group=action")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "anchor_l2":
-            anchor = float(value)
-        else:
-            actions[key] = value
+        if key not in transfer_mod.GROUPS:
+            raise DataError(f"{where}: unknown parameter group {key!r}; expected "
+                            "one of " + ", ".join(transfer_mod.GROUPS))
+        if value not in transfer_mod.ACTIONS:
+            raise DataError(f"{where}: unknown action {value!r} for {key!r}; "
+                            "expected one of " + ", ".join(transfer_mod.ACTIONS))
+        actions[key] = value
     mapping = None
     if target_labels is not None and "labels" in source.architecture:
         src_labels = tagger_mod.LabelSet(source.architecture["labels"],
                                          bio=source.architecture.get("bio", True))
         mapping = transfer_mod.map_label_space(src_labels, target_labels)
-    return transfer_mod.TransferPolicy(actions, label_mapping=mapping,
-                                       anchor_coeff=anchor)
+    return transfer_mod.TransferPolicy(actions, label_mapping=mapping)
 
 
 def default_tagger_policy(source, target_arch, target_word_vocab, target_labels):
@@ -145,6 +147,18 @@ def default_tagger_policy(source, target_arch, target_word_vocab, target_labels)
     for group in ("char_encoder", "lm_lstm", "lm_head"):
         actions[group] = "reinitialize"
     return transfer_mod.TransferPolicy(actions, label_mapping=mapping)
+
+
+def _transfer_tagger(args, cfg, src, head, word_vocab, labels):
+    """Tagger architecture and tensors initialised from the tagger
+    checkpoint `src` by --policy, or by the default policy without it.
+    Returns (architecture, tensors, TransferReport)."""
+    arch = tagger_mod.tagger_architecture(cfg.tagger_config(head=head),
+                                          len(word_vocab), len(labels), 0, labels)
+    policy = (_load_policy(args.policy, src, labels) if args.policy
+              else default_tagger_policy(src, arch, word_vocab, labels))
+    tensors, report = transfer_mod.transfer_init(src, arch, policy, cfg.seed)
+    return arch, tensors, report
 
 
 # commands -----------------------------------------------------------
@@ -198,14 +212,8 @@ def _train_tagger_common(args, cfg, head):
             provider = tagger_mod.ContextualProvider.from_checkpoint(src)
             anchor = cfg.anchor_l2
         else:
-            d_ctx = 0
-            tcfg = cfg.tagger_config(head=head)
-            arch = tagger_mod.tagger_architecture(
-                tcfg, len(word_vocab), len(labels), d_ctx, labels)
-            policy = (_load_policy(args.policy, src, labels) if args.policy
-                      else default_tagger_policy(src, arch, word_vocab, labels))
-            init_tensors, report = transfer_mod.transfer_init(
-                src, arch, policy, cfg.seed)
+            _, init_tensors, report = _transfer_tagger(args, cfg, src, head,
+                                                       word_vocab, labels)
     tcfg = cfg.tagger_config(head=head, anchor=anchor)
     vectors = None
     if args.vectors:
@@ -252,12 +260,7 @@ def cmd_transfer_init(args, cfg):
     labels = tagger_mod.LabelSet.from_sequences(train, bio=(head == "crf"))
     word_vocab = corpus_mod.build_vocab([s.tokens for s in train],
                                         min_count=cfg.min_count)
-    tcfg = cfg.tagger_config(head=head)
-    arch = tagger_mod.tagger_architecture(tcfg, len(word_vocab), len(labels),
-                                          0, labels)
-    policy = (_load_policy(args.policy, src, labels) if args.policy
-              else default_tagger_policy(src, arch, word_vocab, labels))
-    tensors, report = transfer_mod.transfer_init(src, arch, policy, cfg.seed)
+    arch, tensors, report = _transfer_tagger(args, cfg, src, head, word_vocab, labels)
     ck = Checkpoint.create(
         "tagger", arch, tensors, word_vocab=word_vocab,
         provenance=[{"event": "transfer_init", "source": args.init}])
@@ -340,10 +343,6 @@ def build_parser():
 
 
 def run(argv):
-    level = {"debug": logging.DEBUG, "info": logging.INFO,
-             "warn": logging.WARNING}.get(os.environ.get("SEQXFER_LOG", "info"),
-                                          logging.INFO)
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

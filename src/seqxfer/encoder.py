@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import PAD, char_id_row
+from .corpus import PAD
 from .errors import ContractError
 
 NEG_BIG = -1e30  # masks padded windows out of the max-pool
@@ -73,11 +73,6 @@ def init_char_encoder(config, n_chars, rng):
         "char_enc.proj.W", ad.seeded_init((y, config.d_out), "glorot", rng))
     params["char_enc.proj.b"] = ad.parameter("char_enc.proj.b", np.zeros(config.d_out))
     return params
-
-
-def char_ids(word, char_vocab, max_len):
-    """Padded char-id row with word-boundary markers (see corpus.char_id_row)."""
-    return char_id_row(word, char_vocab, max_len)
 
 
 def highway_forward(x, WT, bT, WH, bH):

@@ -197,11 +197,13 @@ class ContextualProvider:
 
     @classmethod
     def from_checkpoint(cls, ck):
-        if ck.architecture.get("kind") != "bilm":
+        arch = ck.architecture
+        if arch.get("kind") != "bilm":
             raise TransferError("contextual provider checkpoint is not a bilm")
-        return cls(params_from_tensors(ck.tensors),
-                   BiLMConfig.from_dict(ck.architecture["config"]),
-                   ck.char_vocab)
+        config = BiLMConfig.from_dict(arch["config"])
+        ck.check_tensors(bilm_mod.init_bilm_params(config, arch["n_chars"],
+                                                   arch["n_words"], 0))
+        return cls(params_from_tensors(ck.tensors), config, ck.char_vocab)
 
 
 def init_tagger_params(config, n_words, n_labels, d_ctx, seed):
@@ -354,13 +356,21 @@ class TaggerModel:
         arch = ck.architecture
         config = TaggerConfig.from_dict(arch["config"])
         labels = LabelSet(arch["labels"], bio=arch["bio"])
+        expected = init_tagger_params(config, arch["n_words"], arch["n_labels"],
+                                      arch["d_ctx"], 0)
         provider = None
         if arch.get("provider"):
             bcfg = BiLMConfig.from_dict(arch["provider"])
+            # the provider's softmax head is saved but never used, and its
+            # vocabulary size is not part of the architecture
+            expected.update((n, p) for n, p in bilm_mod.init_bilm_params(
+                bcfg, len(ck.char_vocab), 1, 0).items()
+                if n not in bilm_mod.HEAD_PARAMS)
             bparams = params_from_tensors(
                 {n: a for n, a in ck.tensors.items()
                  if n.startswith(("char_enc.", "lm."))})
             provider = ContextualProvider(bparams, bcfg, ck.char_vocab)
+        ck.check_tensors(expected)
         params = params_from_tensors(
             {n: a for n, a in ck.tensors.items() if n.startswith("tagger.")})
         return cls(config, ck.word_vocab, labels, params, provider)

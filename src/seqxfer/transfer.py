@@ -25,6 +25,8 @@ _GROUPS = (
     ("lm.head", "lm_head"),
     ("lm.", "lm_lstm"),
 )
+GROUPS = tuple(group for _, group in _GROUPS)
+ACTIONS = ("copy", "reinitialize", "skip")
 
 
 def group_of(name):
@@ -57,7 +59,7 @@ def map_label_space(source, target):
 
 @dataclass
 class TransferPolicy:
-    """Per-group action plus label/vocabulary alignment choices.
+    """Per-group action plus the label-space alignment.
 
     actions: group name -> 'copy' | 'reinitialize' | 'skip'.  'skip'
     leaves the target group at its fresh seeded initialization but
@@ -66,8 +68,6 @@ class TransferPolicy:
     """
     actions: dict
     label_mapping: LabelMapping = None
-    vocab_mode: str = "shared-char-vocab"
-    anchor_coeff: float = 0.0
 
     @classmethod
     def all_copy(cls, groups):

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqxfer import autodiff as ad
+from seqxfer import bilm
 from seqxfer.errors import ContractError, NumericError
 
 
@@ -115,6 +117,58 @@ class TestOps:
         x = ad.constant(np.ones((4, 3)))
         grads = ad.reverse_gradients((x + b).sum(), {"b": b})
         assert np.array_equal(grads["b"], np.full(3, 4.0))
+
+
+def _p(*shape):
+    return ad.parameter("p", np.random.default_rng(0).uniform(0.5, 1.5, size=shape))
+
+
+# every primitive op, and the fused LSTM layer, on inputs that require grad
+GRAPH_OPS = {
+    "add": lambda: ad.add(_p(2, 3), _p(3)),
+    "mul": lambda: ad.mul(_p(2, 3), _p(2, 3)),
+    "matmul": lambda: ad.matmul(_p(2, 3), _p(3, 4)),
+    "transpose": lambda: ad.transpose(_p(2, 3)),
+    "reshape": lambda: ad.reshape(_p(2, 3), (3, 2)),
+    "getitem": lambda: ad.getitem(_p(4, 2), np.array([1, 1, 3])),
+    "concat": lambda: ad.concat([_p(2, 2), _p(2, 3)], axis=1),
+    "tsum": lambda: ad.tsum(_p(2, 3), axis=0),
+    "tmax": lambda: ad.tmax(_p(2, 3), axis=1),
+    "exp": lambda: ad.exp(_p(2, 3)),
+    "log": lambda: ad.log(_p(2, 3)),
+    "tanh": lambda: ad.tanh(_p(2, 3)),
+    "sigmoid": lambda: ad.sigmoid(_p(2, 3)),
+    "logsumexp_t": lambda: ad.logsumexp_t(_p(2, 3), axis=0),
+    "log_softmax": lambda: ad.log_softmax(_p(2, 3), axis=-1),
+    "lstm_forward": lambda: bilm.lstm_forward(_p(2, 4, 3), np.ones((2, 4)),
+                                              _p(3, 8), _p(2, 8), _p(8)),
+}
+
+
+class TestGraphNodes:
+    @pytest.mark.parametrize("op", sorted(GRAPH_OPS))
+    def test_dropped_output_leaves_no_cycle(self, op):
+        gc.collect()
+        gc.disable()
+        try:
+            out = GRAPH_OPS[op]()
+            assert out.requires_grad and out._backward is not None
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.matmul])
+    def test_constant_operand_is_not_recorded(self, op):
+        x = ad.parameter("x", np.ones((2, 2)))
+        c = ad.constant(np.full((2, 2), 3.0))
+        assert op(x, c)._parents == (x,)
+        assert op(c, x)._parents == (x,)
+
+    def test_constant_inputs_build_a_constant(self):
+        out = ad.mul(ad.constant(np.ones(3)), 2.0)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
 
 
 class TestAdam:

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqxfer import checkpoint as checkpoint_mod
 from seqxfer.checkpoint import MAGIC, Checkpoint, tensor_checksum
 from seqxfer.corpus import build_char_vocab, build_vocab
 from seqxfer.errors import DataError
+
+from conftest import tiny_bilm_config
 
 
 def _sample(seed=0):
@@ -215,3 +219,51 @@ class TestDigest:
         a = np.arange(6.0).reshape(2, 3)
         assert tensor_checksum(a) == tensor_checksum(a.copy())
         assert tensor_checksum(a) != tensor_checksum(a + 1e-16 + 1)
+
+
+@pytest.fixture(scope="module")
+def real_ckpt(tmp_path_factory):
+    """A freshly initialised tiny BiLM checkpoint: (bytes, scratch dir)."""
+    from seqxfer import bilm
+    sents = [["red", "fox"], ["blue", "owl", "sat"]]
+    vocab, chars = build_vocab(sents), build_char_vocab(sents)
+    config = tiny_bilm_config()
+    params = bilm.init_bilm_params(config, len(chars), len(vocab), seed=0)
+    ck = Checkpoint.create(
+        "bilm", bilm.architecture(config, len(chars), len(vocab)),
+        bilm.tensors_from_params(params), word_vocab=vocab, char_vocab=chars,
+        provenance=[{"event": "pretrain", "epochs": 0, "seed": 0}])
+    tmp_dir = tmp_path_factory.mktemp("fuzz")
+    ck.save(tmp_dir / "real.ckpt")
+    return (tmp_dir / "real.ckpt").read_bytes(), tmp_dir
+
+
+class TestCorruptBytesFuzz:
+    """Damaged checkpoint bytes either load or raise DataError."""
+
+    def _load(self, real_ckpt, blob):
+        path = real_ckpt[1] / "damaged.ckpt"
+        path.write_bytes(blob)
+        try:
+            Checkpoint.load(path)
+        except DataError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated(self, real_ckpt, cut):
+        blob = real_ckpt[0]
+        self._load(real_ckpt, blob[:int(cut * len(blob))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.floats(0.0, 1.0, exclude_max=True),
+           in_header=st.booleans(), bit=st.integers(0, 7))
+    def test_bit_flipped(self, real_ckpt, where, in_header, bit):
+        blob = bytearray(real_ckpt[0])
+        # most bytes are tensor payload; aim half the flips at the magic
+        # line, the length line and the manifest
+        manifest_at = blob.index(b"\n", len(MAGIC)) + 1
+        span = (manifest_at + int(blob[len(MAGIC):manifest_at]) if in_header
+                else len(blob))
+        blob[int(where * span)] ^= 1 << bit
+        self._load(real_ckpt, bytes(blob))

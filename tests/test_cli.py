@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqxfer import cli
+from seqxfer import transfer as transfer_mod
 from seqxfer.checkpoint import Checkpoint
 from seqxfer.corpus import write_conll
 from seqxfer.errors import DataError
@@ -199,3 +202,99 @@ class TestTrainingPipelines:
             if name.startswith("tagger.l"):
                 assert np.array_equal(ini.tensors[name], src.tensors[name])
         assert "tagger.crf.trans" in ini.tensors
+
+
+def _pos_checkpoint(ws):
+    from seqxfer.corpus import LabeledSequence
+    relabel = {"B-PER": "PROPN", "B-LOC": "PROPN", "O": "X"}
+    write_conll([LabeledSequence(s.tokens, [relabel[t] for t in s.tags])
+                 for s in toy_ner_corpus(12)], ws / "pos.conll")
+    assert _run(["train-pos", "--config", ws / "tiny.cfg",
+                 "--train", ws / "pos.conll", "--epochs", 1,
+                 "--out", ws / "pos.ckpt"]) == 0
+    return ws / "pos.ckpt"
+
+
+class TestPolicyFile:
+    FULL = "trunk=copy\nword_embedding=skip\nemission=reinitialize\ncrf=reinitialize\n"
+
+    def _transfer(self, ws, policy_text):
+        (ws / "p.policy").write_text(policy_text)
+        return _run(["transfer-init", "--config", ws / "tiny.cfg",
+                     "--init", _pos_checkpoint(ws), "--train", ws / "train.conll",
+                     "--policy", ws / "p.policy", "--out", ws / "init.ckpt"])
+
+    def test_full_policy_is_applied(self, ws, capsys):
+        assert self._transfer(ws, "# groups\n" + self.FULL) == 0
+        report = (ws / "init.ckpt.report.txt").read_text()
+        assert "tagger.l0.fwd.Wx" in report.split("reinitialized")[0]
+
+    @pytest.mark.parametrize("line, message", [
+        ("trunk copy", "p.policy:2: expected group=action"),
+        ("trunkk=skip", "p.policy:2: unknown parameter group 'trunkk'"),
+        ("anchor_l2=5.0", "p.policy:2: unknown parameter group 'anchor_l2'"),
+        ("trunk=keep", "p.policy:2: unknown action 'keep' for 'trunk'"),
+    ])
+    def test_bad_line_is_1_with_location(self, ws, capsys, line, message):
+        assert self._transfer(ws, "# groups\n" + line + "\n" + self.FULL) == 1
+        assert message in capsys.readouterr().err
+        assert not (ws / "init.ckpt").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
+    def test_arbitrary_text_parses_or_raises_data_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("policy") / "p.policy"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            policy = cli._load_policy(path, source=None)
+        except DataError:
+            return
+        assert set(policy.actions) <= set(transfer_mod.GROUPS)
+        assert set(policy.actions.values()) <= set(transfer_mod.ACTIONS)
+
+
+class TestTaggerInit:
+    def test_train_ner_from_tagger_writes_report(self, ws, capsys):
+        assert _run(["train-ner", "--config", ws / "tiny.cfg",
+                     "--init", _pos_checkpoint(ws), "--train", ws / "train.conll",
+                     "--epochs", 1, "--out", ws / "ner.ckpt"]) == 0
+        capsys.readouterr()
+        report = (ws / "ner.ckpt.report.txt").read_text()
+        copied, rest = report.split("reinitialized")
+        # softmax POS head -> CRF NER head: the trunk is copied, the head is not
+        assert "tagger.l0.fwd.Wx" in copied
+        assert "tagger.emission.W" in rest and "tagger.crf.trans" in rest
+        ck = Checkpoint.load(ws / "ner.ckpt")
+        assert ck.architecture["config"]["head"] == "crf"
+        assert ck.manifest["provenance"][0]["init"] == str(ws / "pos.ckpt")
+
+
+class TestCheckpointArchitecture:
+    @pytest.fixture
+    def lm_ck(self, ws, capsys):
+        assert _run(["pretrain-lm", "--config", ws / "tiny.cfg",
+                     "--corpus", ws / "lm.txt", "--epochs", 1,
+                     "--out", ws / "lm.ckpt"]) == 0
+        capsys.readouterr()
+        return Checkpoint.load(ws / "lm.ckpt")
+
+    @staticmethod
+    def _run_from_bad(ws, command):
+        argv = {"train-ner": ["--train", ws / "train.conll", "--out", ws / "ner.ckpt"],
+                "finetune-lm": ["--corpus", ws / "lm.txt", "--out", ws / "ft.ckpt"]}
+        return _run([command, "--config", ws / "tiny.cfg", "--epochs", 1,
+                     "--init", ws / "bad.ckpt"] + argv[command])
+
+    @pytest.mark.parametrize("command", ["train-ner", "finetune-lm"])
+    def test_missing_tensor_is_1_and_named(self, ws, capsys, lm_ck, command):
+        del lm_ck.tensors["lm.fwd.l0.Wx"]
+        lm_ck.save(ws / "bad.ckpt")
+        assert self._run_from_bad(ws, command) == 1
+        assert "no tensor 'lm.fwd.l0.Wx'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-ner", "finetune-lm"])
+    def test_misshapen_tensor_is_1_and_named(self, ws, capsys, lm_ck, command):
+        lm_ck.tensors["char_enc.proj.b"] = np.zeros(3)
+        lm_ck.save(ws / "bad.ckpt")
+        assert self._run_from_bad(ws, command) == 1
+        assert "'char_enc.proj.b' has shape (3,)" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,30 @@ class TestTaggerModel:
         again = tg.TaggerModel.from_checkpoint(ck)
         for sent in corpus:
             assert model.decode(sent.tokens) == again.decode(sent.tokens)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("tagger.l0.bwd.Wh", None, "no tensor 'tagger.l0.bwd.Wh'"),
+        ("tagger.crf.trans", np.zeros((3, 3)), "'tagger.crf.trans' has shape (3, 3)"),
+        ("char_enc.emb", None, "no tensor 'char_enc.emb'"),
+    ])
+    def test_checkpoint_checked_against_architecture(self, name, value, message):
+        from seqxfer import bilm
+        from seqxfer.corpus import build_char_vocab
+        from conftest import tiny_bilm_config
+        corpus = toy_ner_corpus(4)
+        tokens = [s.tokens for s in corpus]
+        chars, bcfg = build_char_vocab(tokens), tiny_bilm_config()
+        provider = tg.ContextualProvider(
+            bilm.init_bilm_params(bcfg, len(chars), 5, seed=0), bcfg, chars)
+        model = tg.TaggerModel.init(tiny_tagger_config(), build_vocab(tokens),
+                                    tg.LabelSet.from_sequences(corpus), 0, provider)
+        ck = model.to_checkpoint()
+        if value is None:
+            del ck.tensors[name]
+        else:
+            ck.tensors[name] = value
+        with pytest.raises(DataError, match=re.escape(message)):
+            tg.TaggerModel.from_checkpoint(ck)
 
 
 class TestTrainTagger:
