@@ -341,20 +341,14 @@ def reverse_gradients(loss, params):
 # initialization -----------------------------------------------------
 
 
-def seeded_init(shape, scheme, seed, value=0.0):
-    """Deterministic parameter init.
+def seeded_init(shape, scheme, seed):
+    """Deterministic glorot-uniform init, bound sqrt(6/(fan_in+fan_out)).
 
-    scheme: 'glorot' (uniform, bound sqrt(6/(fan_in+fan_out))), 'zeros',
-    or 'constant' (fill with `value`).  `seed` may be an int or a
-    numpy Generator.
+    `scheme` must be 'glorot'.  `seed` may be an int or a numpy Generator.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0:
         raise ContractError("seeded_init requires a nonempty shape")
-    if scheme == "zeros":
-        return np.zeros(shape, dtype=np.float64)
-    if scheme == "constant":
-        return np.full(shape, float(value), dtype=np.float64)
     if scheme != "glorot":
         raise ContractError(f"unknown init scheme {scheme!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -362,6 +356,16 @@ def seeded_init(shape, scheme, seed, value=0.0):
     fan_out = shape[-1] if len(shape) > 1 else shape[0]
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
+
+
+def init_params(table, seed):
+    """Named trainable leaves for a parameter table of (name, shape, fill)
+    rows, drawn in table order from one generator.  A fill of None is a
+    glorot draw; any other fill is a constant broadcast to the shape."""
+    rng = np.random.default_rng(seed)
+    return {name: parameter(name, seeded_init(shape, "glorot", rng) if fill is None
+                            else np.full(shape, fill, dtype=np.float64))
+            for name, shape, fill in table}
 
 
 # optimizer ----------------------------------------------------------

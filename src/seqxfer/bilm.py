@@ -15,8 +15,8 @@ from . import autodiff as ad
 from .autodiff import Adam, clip_by_global_norm, reverse_gradients
 from .checkpoint import Checkpoint
 from .corpus import lm_batches, char_id_row
-from .encoder import CharEncoderConfig, encode_char_matrix, init_char_encoder
-from .errors import ContractError, TransferError
+from .encoder import CharEncoderConfig, char_encoder_table, encode_char_matrix
+from .errors import ContractError, DataError, TransferError
 
 DIRECTIONS = ("fwd", "bwd")
 HEAD_PARAMS = ("lm.head.W", "lm.head.b")
@@ -42,27 +42,45 @@ class BiLMConfig:
                    d["lm_hidden"], d["lm_layers"])
 
 
-def init_bilm_params(config, n_chars, n_words, seed):
-    rng = np.random.default_rng(seed)
-    params = init_char_encoder(config.encoder, n_chars, rng)
+def lstm_table(base, d_in, H):
+    """One LSTM layer's rows: the forget-gate quarter of the bias starts at 1."""
+    return [(f"{base}.Wx", (d_in, 4 * H), None), (f"{base}.Wh", (H, 4 * H), None),
+            (f"{base}.b", (4 * H,), np.repeat([0.0, 1.0, 0.0, 0.0], H))]
+
+
+def bilm_table(config, n_chars, n_words):
+    """(name, shape, fill) rows of every BiLM parameter in init order; the
+    two softmax-head rows (HEAD_PARAMS) come last."""
     H, d = config.lm_hidden, config.d_out
+    table = char_encoder_table(config.encoder, n_chars)
     for direction in DIRECTIONS:
         for layer in range(config.lm_layers):
             base = f"lm.{direction}.l{layer}"
-            params[f"{base}.Wx"] = ad.parameter(
-                f"{base}.Wx", ad.seeded_init((d, 4 * H), "glorot", rng))
-            params[f"{base}.Wh"] = ad.parameter(
-                f"{base}.Wh", ad.seeded_init((H, 4 * H), "glorot", rng))
-            b = np.zeros(4 * H)
-            b[H:2 * H] = 1.0  # forget-gate bias
-            params[f"{base}.b"] = ad.parameter(f"{base}.b", b)
-            params[f"{base}.proj.W"] = ad.parameter(
-                f"{base}.proj.W", ad.seeded_init((H, d), "glorot", rng))
-            params[f"{base}.proj.b"] = ad.parameter(f"{base}.proj.b", np.zeros(d))
-    params["lm.head.W"] = ad.parameter(
-        "lm.head.W", ad.seeded_init((n_words, d), "glorot", rng))
-    params["lm.head.b"] = ad.parameter("lm.head.b", np.zeros(n_words))
-    return params
+            table += lstm_table(base, d, H)
+            table += [(f"{base}.proj.W", (H, d), None), (f"{base}.proj.b", (d,), 0.0)]
+    return table + [("lm.head.W", (n_words, d), None), ("lm.head.b", (n_words,), 0.0)]
+
+
+def init_bilm_params(config, n_chars, n_words, seed):
+    return ad.init_params(bilm_table(config, n_chars, n_words), seed)
+
+
+def read_bilm(ck):
+    """The config of the BiLM checkpoint `ck`, once its tensors are checked
+    against the parameter table its architecture declares."""
+    if ck.architecture["kind"] != "bilm":
+        raise TransferError(f"{ck.source} is not a bilm checkpoint")
+
+    def read(arch):
+        n_chars = len(ck.char_vocab) if ck.char_vocab else 0
+        if n_chars != arch["n_chars"]:
+            raise DataError(f"n_chars is {arch['n_chars']!r} but the char "
+                            f"vocabulary holds {n_chars} symbols")
+        config = BiLMConfig.from_dict(arch["config"])
+        return config, bilm_table(config, n_chars, arch["n_words"])
+    config, table = ck.read_architecture(read)
+    ck.check_tensors(table)
+    return config
 
 
 def params_from_tensors(tensors):
@@ -305,12 +323,10 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
     if init is not None:
         vocab = init.word_vocab
         char_vocab = init.char_vocab
-        init_config = BiLMConfig.from_dict(init.architecture["config"])
+        init_config = read_bilm(init)
         if config is not None:
             _check_architecture(init.architecture, config, len(char_vocab), len(vocab))
         config = init_config
-        init.check_tensors(init_bilm_params(config, init.architecture["n_chars"],
-                                            init.architecture["n_words"], 0))
         params = params_from_tensors(init.tensors)
         provenance = list(init.manifest.get("provenance", []))
         provenance.append({"event": "continue_training", "epochs": epochs})
@@ -355,15 +371,10 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
 def replace_vocab_head(src, target_vocab, seed):
     """Copy all LM weights bit-exactly but re-create the softmax head
     for a new vocabulary (cross-lingual surgery)."""
-    missing = [n for n in HEAD_PARAMS if n not in src.tensors]
-    if missing or src.architecture.get("kind") != "bilm":
-        raise TransferError("source checkpoint lacks BiLM parameters: "
-                            + ", ".join(missing))
-    config = BiLMConfig.from_dict(src.architecture["config"])
+    config = read_bilm(src)
+    head = bilm_table(config, len(src.char_vocab), len(target_vocab))[-2:]
     tensors = {name: arr.copy() for name, arr in src.tensors.items()}
-    tensors["lm.head.W"] = ad.seeded_init(
-        (len(target_vocab), config.d_out), "glorot", seed)
-    tensors["lm.head.b"] = np.zeros(len(target_vocab))
+    tensors.update(tensors_from_params(ad.init_params(head, seed)))
     arch = dict(src.architecture)
     arch["n_words"] = len(target_vocab)
     provenance = list(src.manifest.get("provenance", []))

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class Checkpoint:
     tensors: dict
     word_vocab: Vocabulary = None
     char_vocab: Vocabulary = None
+    # what error messages call this checkpoint; `load` sets its path
+    source = "checkpoint"
 
     @classmethod
     def create(cls, kind, architecture, tensors, word_vocab=None, char_vocab=None,
@@ -45,20 +47,32 @@ class Checkpoint:
 
     @property
     def architecture(self):
-        return self.manifest["architecture"]
+        arch = self.manifest.get("architecture")
+        if not isinstance(arch, dict) or "kind" not in arch:
+            raise DataError(f"{self.source}: manifest has no architecture "
+                            "object with a kind")
+        return arch
 
-    def check_tensors(self, expected):
-        """DataError naming the first tensor of `expected` (name -> array
-        or Tensor of the wanted shape) that is missing or shaped otherwise."""
-        for name in sorted(expected):
-            want = tuple(expected[name].shape)
+    def read_architecture(self, read):
+        """`read(architecture)`; a missing key or a value of the wrong type
+        in the architecture is a DataError naming this checkpoint."""
+        arch = self.architecture
+        try:
+            return read(arch)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{self.source}: malformed architecture: {exc!r}") from None
+
+    def check_tensors(self, table):
+        """DataError naming the first row of the parameter table `table`
+        ((name, shape, fill) rows) whose tensor is missing or shaped otherwise."""
+        for name, shape, _ in table:
             if name not in self.tensors:
-                raise DataError(f"checkpoint has no tensor {name!r} "
-                                f"(architecture expects shape {want})")
+                raise DataError(f"{self.source}: no tensor {name!r} "
+                                f"(architecture expects shape {shape})")
             got = self.tensors[name].shape
-            if got != want:
-                raise DataError(f"checkpoint tensor {name!r} has shape {got}; "
-                                f"architecture expects {want}")
+            if got != shape:
+                raise DataError(f"{self.source}: tensor {name!r} has shape {got}; "
+                                f"architecture expects {shape}")
 
     def save(self, path):
         index = []
@@ -116,7 +130,9 @@ class Checkpoint:
             raise DataError(f"{path}: malformed vocabulary: {exc!r}") from None
         manifest = {k: v for k, v in doc.items()
                     if k not in ("tensor_index", "word_vocab", "char_vocab")}
-        return cls(manifest, tensors, word_vocab, char_vocab)
+        ck = cls(manifest, tensors, word_vocab, char_vocab)
+        ck.source = os.fspath(path)
+        return ck
 
     def digest(self, ignore_timestamp=True):
         """Content hash; manifest timestamp excluded by default."""

@@ -10,8 +10,6 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import bilm as bilm_mod
 from . import corpus as corpus_mod
 from . import evaluation, tagger as tagger_mod, transfer as transfer_mod
@@ -69,6 +67,20 @@ class RunConfig:
             unk_rate=self.unk_rate, anchor_coeff=anchor)
 
 
+def _assignments(path, expected):
+    """(where, key, value) for each `key=value` line of a UTF-8 text file;
+    blank lines and #-comments are skipped."""
+    for lineno, raw in enumerate(corpus_mod.read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise DataError(f"{where}: expected {expected}")
+        key, _, value = line.partition("=")
+        yield where, key.strip(), value.strip()
+
+
 def load_config(path=None, overrides=None):
     """Line-oriented key=value file, then CLI-flag overrides."""
     cfg = RunConfig()
@@ -80,15 +92,8 @@ def load_config(path=None, overrides=None):
             setattr(cfg, key, types[key](value))
         except ValueError as exc:
             raise DataError(f"{where}: bad value for {key!r}: {exc}") from exc
-    if path:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            apply(key.strip(), value.strip(), f"{path}:{lineno}")
+    for where, key, value in _assignments(path, "key=value") if path else ():
+        apply(key, value, where)
     for key, value in (overrides or {}).items():
         if value is not None:
             apply(key, value, "command line")
@@ -102,16 +107,7 @@ def _emit(line):
 def _load_policy(path, source, target_labels=None):
     """`group=action` lines, one per parameter group."""
     actions = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                 start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{path}:{lineno}"
-        if "=" not in line:
-            raise DataError(f"{where}: expected group=action")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for where, key, value in _assignments(path, "group=action"):
         if key not in transfer_mod.GROUPS:
             raise DataError(f"{where}: unknown parameter group {key!r}; expected "
                             "one of " + ", ".join(transfer_mod.GROUPS))

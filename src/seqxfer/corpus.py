@@ -7,7 +7,7 @@ pre-trained word-vector loading and LM batch preparation.
 
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +100,14 @@ class Vocabulary:
 # CoNLL column format ------------------------------------------------
 
 
-def _as_lines(source):
+def read_lines(source):
+    """Lines of a UTF-8 text file, a file object or an iterable of lines."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                return fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{source}: not UTF-8 text: {exc}") from None
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         return source.read().splitlines()
     return [line.rstrip("\n") for line in source]
@@ -118,7 +122,7 @@ def read_conll(source, token_col=0, tag_col=1):
     """
     sentences = []
     tokens, tags = [], []
-    for lineno, raw in enumerate(_as_lines(source), start=1):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         line = raw.strip()
         if not line:
             if tokens:
@@ -161,7 +165,7 @@ def write_conll(sentences, dest=None):
 
 def read_sentences(source):
     """Plain-text LM corpus: one pre-tokenized sentence per line."""
-    return [line.split() for line in _as_lines(source) if line.strip()]
+    return [line.split() for line in read_lines(source) if line.strip()]
 
 
 # BIO conversions ----------------------------------------------------
@@ -276,7 +280,7 @@ def load_word_vectors(source, vocab, dim, seed=0):
     matrix = seeded_init((len(vocab), dim), "glorot", seed)
     matrix[PAD] = 0.0
     found = set()
-    for lineno, raw in enumerate(_as_lines(source), start=1):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         if not raw.strip():
             continue
         parts = raw.split()
@@ -344,9 +348,8 @@ def lm_batches(corpus, vocab, char_vocab, batch_size, max_word_len, seed=0):
     for ci in chunk_order:
         chunk = chunks[ci]
         B, T = len(chunk), max(len(s) for s in chunk)
-        uniq = {}
+        uniq = {}  # token -> row; row 0, the pad row, is no token's
         rows = [pad_row]
-        uniq["<pad>"] = 0
         word_index = np.zeros((B, T), dtype=np.int64)
         fwd = np.full((B, T), PAD, dtype=np.int64)
         bwd = np.full((B, T), PAD, dtype=np.int64)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import PAD
 from .errors import ContractError
 
@@ -46,33 +45,23 @@ class CharEncoderConfig:
                    d["highway_layers"], d["d_out"], d["max_word_len"])
 
 
-def init_char_encoder(config, n_chars, rng):
-    """Fresh encoder parameters; names are stable across the package."""
+def char_encoder_table(config, n_chars):
+    """(name, shape, fill) rows of the encoder's parameters in init order;
+    a fill of None is a glorot draw."""
     if len(config.filter_widths) != len(config.filter_counts):
         raise ContractError("filter_widths and filter_counts must align")
-    y = config.pooled_dim
-    params = {}
-    params["char_enc.emb"] = ad.parameter(
-        "char_enc.emb", ad.seeded_init((n_chars, config.d_char), "glorot", rng))
+    d, y = config.d_char, config.pooled_dim
+    table = [("char_enc.emb", (n_chars, d), None)]
     for w, n in zip(config.filter_widths, config.filter_counts):
-        params[f"char_enc.conv{w}.W"] = ad.parameter(
-            f"char_enc.conv{w}.W",
-            ad.seeded_init((w * config.d_char, n), "glorot", rng))
-        params[f"char_enc.conv{w}.b"] = ad.parameter(
-            f"char_enc.conv{w}.b", np.zeros(n))
+        table += [(f"char_enc.conv{w}.W", (w * d, n), None),
+                  (f"char_enc.conv{w}.b", (n,), 0.0)]
     for layer in range(config.highway_layers):
-        for mat in ("WT", "WH"):
-            params[f"char_enc.hw{layer}.{mat}"] = ad.parameter(
-                f"char_enc.hw{layer}.{mat}", ad.seeded_init((y, y), "glorot", rng))
+        base = f"char_enc.hw{layer}"
         # negative gate bias starts the layer near the carry branch
-        params[f"char_enc.hw{layer}.bT"] = ad.parameter(
-            f"char_enc.hw{layer}.bT", np.full(y, -1.0))
-        params[f"char_enc.hw{layer}.bH"] = ad.parameter(
-            f"char_enc.hw{layer}.bH", np.zeros(y))
-    params["char_enc.proj.W"] = ad.parameter(
-        "char_enc.proj.W", ad.seeded_init((y, config.d_out), "glorot", rng))
-    params["char_enc.proj.b"] = ad.parameter("char_enc.proj.b", np.zeros(config.d_out))
-    return params
+        table += [(f"{base}.WT", (y, y), None), (f"{base}.WH", (y, y), None),
+                  (f"{base}.bT", (y,), -1.0), (f"{base}.bH", (y,), 0.0)]
+    return table + [("char_enc.proj.W", (y, config.d_out), None),
+                    ("char_enc.proj.b", (config.d_out,), 0.0)]
 
 
 def highway_forward(x, WT, bT, WH, bH):

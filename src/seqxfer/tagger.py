@@ -6,8 +6,7 @@ BiLSTM; the CRF head trains with the exact forward-algorithm partition
 and decodes with Viterbi.
 """
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,40 +196,28 @@ class ContextualProvider:
 
     @classmethod
     def from_checkpoint(cls, ck):
-        arch = ck.architecture
-        if arch.get("kind") != "bilm":
-            raise TransferError("contextual provider checkpoint is not a bilm")
-        config = BiLMConfig.from_dict(arch["config"])
-        ck.check_tensors(bilm_mod.init_bilm_params(config, arch["n_chars"],
-                                                   arch["n_words"], 0))
+        config = bilm_mod.read_bilm(ck)
         return cls(params_from_tensors(ck.tensors), config, ck.char_vocab)
 
 
-def init_tagger_params(config, n_words, n_labels, d_ctx, seed):
-    rng = np.random.default_rng(seed)
-    params = {}
-    params["tagger.word_emb"] = ad.parameter(
-        "tagger.word_emb", ad.seeded_init((n_words, config.d_word), "glorot", rng))
+def tagger_table(config, n_words, n_labels, d_ctx):
+    """(name, shape, fill) rows of every tagger parameter in init order."""
     H = config.hidden
+    table = [("tagger.word_emb", (n_words, config.d_word), None)]
     d_in = config.d_word + d_ctx
     for layer in range(config.layers):
         for direction in ("fwd", "bwd"):
-            base = f"tagger.l{layer}.{direction}"
-            params[f"{base}.Wx"] = ad.parameter(
-                f"{base}.Wx", ad.seeded_init((d_in, 4 * H), "glorot", rng))
-            params[f"{base}.Wh"] = ad.parameter(
-                f"{base}.Wh", ad.seeded_init((H, 4 * H), "glorot", rng))
-            b = np.zeros(4 * H)
-            b[H:2 * H] = 1.0
-            params[f"{base}.b"] = ad.parameter(f"{base}.b", b)
+            table += bilm_mod.lstm_table(f"tagger.l{layer}.{direction}", d_in, H)
         d_in = 2 * H
-    params["tagger.emission.W"] = ad.parameter(
-        "tagger.emission.W", ad.seeded_init((2 * H, n_labels), "glorot", rng))
-    params["tagger.emission.b"] = ad.parameter("tagger.emission.b", np.zeros(n_labels))
+    table += [("tagger.emission.W", (2 * H, n_labels), None),
+              ("tagger.emission.b", (n_labels,), 0.0)]
     if config.head == "crf":
-        params["tagger.crf.trans"] = ad.parameter(
-            "tagger.crf.trans", np.zeros((n_labels + 2, n_labels + 2)))
-    return params
+        table.append(("tagger.crf.trans", (n_labels + 2, n_labels + 2), 0.0))
+    return table
+
+
+def init_tagger_params(config, n_words, n_labels, d_ctx, seed):
+    return ad.init_params(tagger_table(config, n_words, n_labels, d_ctx), seed)
 
 
 def tagger_architecture(config, n_words, n_labels, d_ctx, labels,
@@ -353,24 +340,22 @@ class TaggerModel:
     def from_checkpoint(cls, ck):
         if ck.architecture.get("kind") != "tagger":
             raise TransferError("checkpoint does not contain tagger parameters")
-        arch = ck.architecture
-        config = TaggerConfig.from_dict(arch["config"])
-        labels = LabelSet(arch["labels"], bio=arch["bio"])
-        expected = init_tagger_params(config, arch["n_words"], arch["n_labels"],
-                                      arch["d_ctx"], 0)
-        provider = None
-        if arch.get("provider"):
-            bcfg = BiLMConfig.from_dict(arch["provider"])
-            # the provider's softmax head is saved but never used, and its
-            # vocabulary size is not part of the architecture
-            expected.update((n, p) for n, p in bilm_mod.init_bilm_params(
-                bcfg, len(ck.char_vocab), 1, 0).items()
-                if n not in bilm_mod.HEAD_PARAMS)
-            bparams = params_from_tensors(
-                {n: a for n, a in ck.tensors.items()
-                 if n.startswith(("char_enc.", "lm."))})
-            provider = ContextualProvider(bparams, bcfg, ck.char_vocab)
-        ck.check_tensors(expected)
+
+        def read(arch):
+            config = TaggerConfig.from_dict(arch["config"])
+            table = tagger_table(config, arch["n_words"], arch["n_labels"], arch["d_ctx"])
+            bcfg = BiLMConfig.from_dict(arch["provider"]) if arch.get("provider") else None
+            if bcfg:
+                # the provider's softmax head is saved but never used, and its
+                # vocabulary size is not part of the architecture
+                table += bilm_mod.bilm_table(bcfg, len(ck.char_vocab), 0)[:-2]
+            return config, LabelSet(arch["labels"], bio=arch["bio"]), bcfg, table
+
+        config, labels, bcfg, table = ck.read_architecture(read)
+        ck.check_tensors(table)
+        provider = bcfg and ContextualProvider(params_from_tensors(
+            {n: a for n, a in ck.tensors.items() if n.startswith(("char_enc.", "lm."))}),
+            bcfg, ck.char_vocab)
         params = params_from_tensors(
             {n: a for n, a in ck.tensors.items() if n.startswith("tagger.")})
         return cls(config, ck.word_vocab, labels, params, provider)

@@ -7,13 +7,11 @@ traced to exactly one action in the TransferReport.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import autodiff as ad
-from .bilm import BiLMConfig, init_bilm_params, tensors_from_params
-from .corpus import CHAR_RESERVED, Vocabulary
+from .bilm import BiLMConfig, bilm_table, tensors_from_params
+from .corpus import build_char_vocab
 from .errors import ContractError, TransferError
-from .tagger import LabelSet, TaggerConfig, init_tagger_params
+from .tagger import LabelSet, TaggerConfig, tagger_table
 
 # parameter-name prefix -> policy group
 _GROUPS = (
@@ -100,19 +98,14 @@ class TransferReport:
 
 
 def build_shared_char_vocab(corpora):
-    """Codepoint-sorted union of characters over several token streams.
+    """`corpus.build_char_vocab` over several token streams at once.
 
     Build this before source-language pretraining whenever cross-lingual
     transfer is planned, so the char-embedding shape is stable.
     """
     if not corpora:
         raise ContractError("at least one corpus required")
-    chars = set()
-    for corpus in corpora:
-        for sent in corpus:
-            for tok in sent:
-                chars.update(tok)
-    return Vocabulary(sorted(chars), reserved=CHAR_RESERVED)
+    return build_char_vocab([sent for corpus in corpora for sent in corpus])
 
 
 def char_coverage(source_vocab, target_vocab):
@@ -126,17 +119,15 @@ def char_coverage(source_vocab, target_vocab):
 def _fresh_target_tensors(target_arch, seed):
     kind = target_arch["kind"]
     if kind == "tagger":
-        cfg = TaggerConfig.from_dict(target_arch["config"])
-        params = init_tagger_params(cfg, target_arch["n_words"],
-                                    target_arch["n_labels"],
-                                    target_arch.get("d_ctx", 0), seed)
+        table = tagger_table(TaggerConfig.from_dict(target_arch["config"]),
+                             target_arch["n_words"], target_arch["n_labels"],
+                             target_arch.get("d_ctx", 0))
     elif kind == "bilm":
-        cfg = BiLMConfig.from_dict(target_arch["config"])
-        params = init_bilm_params(cfg, target_arch["n_chars"],
-                                  target_arch["n_words"], seed)
+        table = bilm_table(BiLMConfig.from_dict(target_arch["config"]),
+                           target_arch["n_chars"], target_arch["n_words"])
     else:
         raise ContractError(f"unknown target kind {kind!r}")
-    return tensors_from_params(params)
+    return tensors_from_params(ad.init_params(table, seed))
 
 
 def _mapped_label_copy(name, fresh, src, src_labels, tgt_labels, mapping):

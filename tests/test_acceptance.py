@@ -102,7 +102,7 @@ def test_criterion_02_gradient_suite():
     # char-CNN encoder
     cfg = tiny_encoder_config()
     cvocab = build_char_vocab([["alpha", "beta", "gamma"]])
-    ep = enc.init_char_encoder(cfg, len(cvocab), 0)
+    ep = ad.init_params(enc.char_encoder_table(cfg, len(cvocab)), 0)
     rows = np.stack([char_id_row(w, cvocab, cfg.max_word_len)
                      for w in ("alpha", "beta")])
     target = rng.normal(size=(2, cfg.d_out))

@@ -211,9 +211,6 @@ class TestAdam:
 
 
 class TestSeededInit:
-    def test_zeros(self):
-        assert np.array_equal(ad.seeded_init((2, 2), "zeros", 0), np.zeros((2, 2)))
-
     def test_same_seed_bit_identical(self):
         a = ad.seeded_init((5, 7), "glorot", 42)
         b = ad.seeded_init((5, 7), "glorot", 42)
@@ -223,10 +220,6 @@ class TestSeededInit:
         t = ad.seeded_init((100, 100), "glorot", 3)
         bound = math.sqrt(6.0 / 200.0)
         assert np.abs(t).max() <= bound
-
-    def test_constant(self):
-        assert np.array_equal(ad.seeded_init((3,), "constant", 0, value=2.5),
-                              np.full(3, 2.5))
 
 
 class TestClip:

@@ -298,3 +298,43 @@ class TestCheckpointArchitecture:
         lm_ck.save(ws / "bad.ckpt")
         assert self._run_from_bad(ws, command) == 1
         assert "'char_enc.proj.b' has shape (3,)" in capsys.readouterr().err
+
+    BAD_ARCHITECTURE = {
+        "no-architecture": lambda ck: ck.manifest.pop("architecture"),
+        "no-config": lambda ck: ck.architecture.pop("config"),
+        "no-d_char": lambda ck: ck.architecture["config"]["encoder"].pop("d_char"),
+        "architecture-list": lambda ck: ck.manifest.update(architecture=["bilm"]),
+        "n_chars-string": lambda ck: ck.architecture.update(n_chars="x"),
+        "no-char_vocab": lambda ck: setattr(ck, "char_vocab", None),
+    }
+
+    @pytest.mark.parametrize("command", ["train-ner", "finetune-lm"])
+    @pytest.mark.parametrize("edit", list(BAD_ARCHITECTURE.values()),
+                             ids=list(BAD_ARCHITECTURE))
+    def test_malformed_architecture_is_1_and_named(self, ws, capsys, lm_ck, command,
+                                                   edit):
+        edit(lm_ck)
+        lm_ck.save(ws / "bad.ckpt")
+        assert self._run_from_bad(ws, command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ws / 'bad.ckpt'}: ")
+        assert not (ws / "ner.ckpt").exists() and not (ws / "ft.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", ["conll", "corpus", "config", "policy"])
+def test_non_utf8_file_is_1_and_named(ws, capsys, kind):
+    bad = ws / f"bad.{kind}"
+    bad.write_bytes(b"caf\xe9 O\n\n")
+    test, tiny = ws / "test.conll", ws / "tiny.cfg"
+    if kind == "policy":
+        argv = ["transfer-init", "--config", tiny, "--init", _pos_checkpoint(ws),
+                "--train", ws / "train.conll", "--policy", bad, "--out", ws / "out"]
+    else:
+        argv = {"conll": ["evaluate", "--gold", bad, "--pred", test],
+                "corpus": ["pretrain-lm", "--config", tiny, "--corpus", bad,
+                           "--out", ws / "out"],
+                "config": ["evaluate", "--config", bad, "--gold", test,
+                           "--pred", test]}[kind]
+    assert _run(argv) == 1
+    assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not (ws / "out").exists()

@@ -209,3 +209,35 @@ class TestLMBatches:
         sents, vocab, cvocab = self._setup()
         with pytest.raises(ContractError):
             cp.lm_batches(sents, vocab, cvocab, 0, 8)
+
+    def test_token_spelled_pad_is_encoded_by_its_chars(self):
+        sents = [["a", "<pad>", "b"]]
+        vocab, cvocab = cp.build_vocab(sents), cp.build_char_vocab(sents)
+        batch = cp.lm_batches(sents, vocab, cvocab, 1, 8)[0]
+        row = batch.word_index[0, 1]
+        assert row != 0
+        assert np.array_equal(batch.uniq_char_ids[row],
+                              cp.char_id_row("<pad>", cvocab, 8))
+        assert not batch.uniq_char_ids[0].any()
+
+
+class TestConllFuzz:
+    FIELD = st.text(st.characters(blacklist_categories=("Cs",))
+                    .filter(lambda c: not c.isspace()), min_size=1, max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.characters(blacklist_categories=("Cs",))))
+    def test_arbitrary_text_parses_or_raises_parse_error(self, text):
+        try:
+            sentences = cp.read_conll(io.StringIO(text))
+        except ParseError:
+            return
+        assert all(len(s) and len(s.tokens) == len(s.tags) for s in sentences)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(FIELD, FIELD), min_size=1, max_size=5),
+                    max_size=4))
+    def test_write_then_read_round_trips(self, rows):
+        sentences = [cp.LabeledSequence([t for t, _ in s], [g for _, g in s])
+                     for s in rows]
+        assert cp.read_conll(io.StringIO(cp.write_conll(sentences))) == sentences

@@ -12,7 +12,7 @@ from conftest import tiny_encoder_config
 def _setup(seed=0):
     config = tiny_encoder_config()
     cvocab = build_char_vocab([["alpha", "beta", "gamma", "x"]])
-    params = enc.init_char_encoder(config, len(cvocab), seed)
+    params = ad.init_params(enc.char_encoder_table(config, len(cvocab)), seed)
     return config, cvocab, params
 
 
@@ -96,15 +96,15 @@ class TestEncodeWord:
 
     def test_seeded_init_reproducible(self):
         config = tiny_encoder_config()
-        p1 = enc.init_char_encoder(config, 20, 7)
-        p2 = enc.init_char_encoder(config, 20, 7)
+        p1 = ad.init_params(enc.char_encoder_table(config, 20), 7)
+        p2 = ad.init_params(enc.char_encoder_table(config, 20), 7)
         for name in p1:
             assert np.array_equal(p1[name].data, p2[name].data)
 
     def test_mismatched_filter_spec_rejected(self):
         config = tiny_encoder_config(filter_widths=(1, 2), filter_counts=(4,))
         with pytest.raises(ContractError):
-            enc.init_char_encoder(config, 20, 0)
+            enc.char_encoder_table(config, 20)
 
 
 class TestEncoderGradients:
