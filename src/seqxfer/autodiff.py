@@ -6,6 +6,7 @@ gradient to them.  Everything is float64; non-finite losses or gradients
 raise instead of propagating.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -107,15 +108,30 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+_recording = True  # False inside `no_grad()`
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph: every op inside returns a constant."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def node(data, parents, backward):
     """The one constructor of graph nodes.
 
     Records only the parents that require grad, and attaches `backward`
     only when there is at least one; otherwise the result is a constant.
-    Every op builds its closure before calling this, so no closure can
-    refer to the node it belongs to, and no node is a reference cycle.
+    Under `no_grad()` it records nothing.  Every op builds its closure
+    before calling this, so no closure can refer to the node it belongs
+    to, and no node is a reference cycle.
     """
-    parents = tuple(p for p in parents if p.requires_grad)
+    parents = tuple(p for p in parents if p.requires_grad) if _recording else ()
     out = Tensor(data, requires_grad=bool(parents))
     if parents:
         out._parents = parents

@@ -14,8 +14,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, clip_by_global_norm, reverse_gradients
 from .checkpoint import Checkpoint
-from .corpus import lm_batches, char_id_row
-from .encoder import CharEncoderConfig, char_encoder_table, encode_char_matrix
+from .corpus import lm_batches, pad_batch
+from .encoder import CharEncoderConfig, char_encoder_table, encode_char_matrix, size
 from .errors import ContractError, DataError, TransferError
 
 DIRECTIONS = ("fwd", "bwd")
@@ -39,7 +39,7 @@ class BiLMConfig:
     @classmethod
     def from_dict(cls, d):
         return cls(CharEncoderConfig.from_dict(d["encoder"]),
-                   d["lm_hidden"], d["lm_layers"])
+                   size(d["lm_hidden"], "lm_hidden"), size(d["lm_layers"], "lm_layers"))
 
 
 def lstm_table(base, d_in, H):
@@ -250,26 +250,21 @@ def bilm_loss(batch, params, config):
     return (fwd + bwd) / (2.0 * count)
 
 
-def contextual_states(char_ids_matrix, params, config):
-    """Last-layer forward and backward states for one sentence, [T, 2*d_out]."""
-    ids = np.asarray(char_ids_matrix)
-    T = ids.shape[0]
-    enc = encode_char_matrix(ids, params, config.encoder)
-    x = ad.reshape(enc, (1, T, config.d_out))
-    mask = np.ones((1, T))
-    fwd = run_direction(x, mask, params, config, "fwd")
-    bwd = run_direction(x, mask, params, config, "bwd")
-    return ad.concat([ad.reshape(fwd, (T, config.d_out)),
-                      ad.reshape(bwd, (T, config.d_out))], axis=1)
+def contextual_states(batch, params, config):
+    """Last-layer forward and backward states of a padded Batch,
+    [B, T, 2*d_out]; each distinct word is char-encoded once."""
+    x = encode_batch_words(batch, params, config)
+    fwd = run_direction(x, batch.mask, params, config, "fwd")
+    bwd = run_direction(x, batch.mask, params, config, "bwd")
+    return ad.concat([fwd, bwd], axis=2)
 
 
 def contextual_repr(sentence, params, config, char_vocab):
     """Per-token contextual vectors for a token-string sentence."""
-    if not sentence:
-        raise ContractError("empty sentence")
-    ids = np.stack([char_id_row(tok, char_vocab, config.encoder.max_word_len)
-                    for tok in sentence])
-    return contextual_states(ids, params, config).data.copy()
+    batch = pad_batch([sentence], char_vocab=char_vocab,
+                      max_word_len=config.encoder.max_word_len)
+    with ad.no_grad():
+        return contextual_states(batch, params, config).data[0]
 
 
 def perplexity(corpus, params, config, vocab, char_vocab, batch_size=32):

@@ -6,6 +6,7 @@ transfer-init, evaluate, analyze, convert-bio.  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -104,8 +105,9 @@ def _emit(line):
     print(line, flush=True)
 
 
-def _load_policy(path, source, target_labels=None):
-    """`group=action` lines, one per parameter group."""
+def _load_policy(path, source_labels=None, target_labels=None):
+    """`group=action` lines, one per parameter group; with both label
+    sets, the policy maps the source's labels onto the target's."""
     actions = {}
     for where, key, value in _assignments(path, "group=action"):
         if key not in transfer_mod.GROUPS:
@@ -116,27 +118,22 @@ def _load_policy(path, source, target_labels=None):
                             "expected one of " + ", ".join(transfer_mod.ACTIONS))
         actions[key] = value
     mapping = None
-    if target_labels is not None and "labels" in source.architecture:
-        src_labels = tagger_mod.LabelSet(source.architecture["labels"],
-                                         bio=source.architecture.get("bio", True))
-        mapping = transfer_mod.map_label_space(src_labels, target_labels)
+    if source_labels is not None and target_labels is not None:
+        mapping = transfer_mod.map_label_space(source_labels, target_labels)
     return transfer_mod.TransferPolicy(actions, label_mapping=mapping)
 
 
-def default_tagger_policy(source, target_arch, target_word_vocab, target_labels):
+def default_tagger_policy(source, source_head, source_labels, target_head,
+                          target_word_vocab, target_labels):
     """Copy whatever is shape- and semantics-compatible, reinit the rest."""
-    src_arch = source.architecture
     actions = {"trunk": "copy"}
     actions["word_embedding"] = ("copy" if source.word_vocab == target_word_vocab
                                  else "skip")
     mapping = None
-    same_head = src_arch["config"]["head"] == target_arch["config"]["head"]
-    same_scheme = src_arch.get("bio", True) == target_arch.get("bio", True)
-    if same_head and same_scheme:
+    if source_head == target_head and source_labels.bio == target_labels.bio:
         actions["emission"] = "copy"
         actions["crf"] = "copy"
-        src_labels = tagger_mod.LabelSet(src_arch["labels"], bio=src_arch.get("bio", True))
-        mapping = transfer_mod.map_label_space(src_labels, target_labels)
+        mapping = transfer_mod.map_label_space(source_labels, target_labels)
     else:
         actions["emission"] = "reinitialize"
         actions["crf"] = "reinitialize"
@@ -149,10 +146,12 @@ def _transfer_tagger(args, cfg, src, head, word_vocab, labels):
     """Tagger architecture and tensors initialised from the tagger
     checkpoint `src` by --policy, or by the default policy without it.
     Returns (architecture, tensors, TransferReport)."""
+    src_head, src_labels = tagger_mod.read_tagger_head(src)
     arch = tagger_mod.tagger_architecture(cfg.tagger_config(head=head),
                                           len(word_vocab), len(labels), 0, labels)
-    policy = (_load_policy(args.policy, src, labels) if args.policy
-              else default_tagger_policy(src, arch, word_vocab, labels))
+    policy = (_load_policy(args.policy, src_labels, labels) if args.policy
+              else default_tagger_policy(src, src_head, src_labels, head,
+                                         word_vocab, labels))
     tensors, report = transfer_mod.transfer_init(src, arch, policy, cfg.seed)
     return arch, tensors, report
 
@@ -326,9 +325,11 @@ FLAGS = (
 )
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
     """A missing required flag is a usage error: argparse names it and
-    exits with code 2 before any work runs."""
+    exits with code 2 before any work runs.  Built once: building takes
+    milliseconds, and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(prog="seqxfer")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, required) in COMMANDS.items():

@@ -300,26 +300,32 @@ def load_word_vectors(source, vocab, dim, seed=0):
     return matrix, coverage
 
 
-# LM batches ---------------------------------------------------------
+# padded batches -----------------------------------------------------
 
 
 @dataclass
-class LMBatch:
-    """One padded LM minibatch.
+class Batch:
+    """Sentences padded to one [B, T] grid.
 
     Word surface forms are deduplicated: uniq_char_ids holds each
-    distinct word's padded char-id row once, word_index maps [B, T]
-    positions into it.
+    distinct word's padded char-id row once (row 0 is the all-PAD row of
+    padded positions), word_index maps [B, T] positions into it.
     """
-    uniq_char_ids: np.ndarray   # [U, L] int
-    word_index: np.ndarray      # [B, T] int
-    fwd_targets: np.ndarray     # [B, T] int, next-word ids (EOS at end)
-    bwd_targets: np.ndarray     # [B, T] int, previous-word ids (BOS at front)
+    uniq_char_ids: np.ndarray   # [U, L] int, or None without a char vocabulary
+    word_index: np.ndarray      # [B, T] int, or None without a char vocabulary
     mask: np.ndarray            # [B, T] float, 1 where a real token sits
+    word_ids: np.ndarray = None     # [B, T] int word-vocabulary ids, PAD where padded
+    tag_ids: np.ndarray = None      # [B, T] int label ids, 0 where padded
+    fwd_targets: np.ndarray = None  # [B, T] int, next-word ids (EOS at end)
+    bwd_targets: np.ndarray = None  # [B, T] int, previous-word ids (BOS at front)
 
     @property
     def n_tokens(self):
         return int(self.mask.sum())
+
+    @property
+    def lengths(self):
+        return self.mask.sum(axis=1).astype(np.int64)
 
 
 def char_id_row(word, char_vocab, max_len):
@@ -331,8 +337,41 @@ def char_id_row(word, char_vocab, max_len):
     return np.array(ids, dtype=np.int64)
 
 
+def pad_batch(token_lists, word_vocab=None, char_vocab=None, max_word_len=None,
+              tag_ids=None):
+    """Pad nonempty token lists into one Batch: char rows of the distinct
+    words when `char_vocab` is given, word ids when `word_vocab` is, and a
+    tag column from `tag_ids` (one int sequence per sentence)."""
+    if not token_lists or not all(token_lists):
+        raise ContractError("empty sentence")
+    B, T = len(token_lists), max(len(s) for s in token_lists)
+    mask = np.zeros((B, T), dtype=np.float64)
+    words = np.full((B, T), PAD, dtype=np.int64) if word_vocab is not None else None
+    tags = np.zeros((B, T), dtype=np.int64) if tag_ids is not None else None
+    rows = word_index = None
+    if char_vocab is not None:
+        uniq = {}  # token -> row; row 0, the pad row, is no token's
+        rows = [np.full(max_word_len, PAD, dtype=np.int64)]
+        word_index = np.zeros((B, T), dtype=np.int64)
+    for b, sent in enumerate(token_lists):
+        n = len(sent)
+        mask[b, :n] = 1.0
+        if words is not None:
+            words[b, :n] = [word_vocab.id(t) for t in sent]
+        if tags is not None:
+            tags[b, :n] = tag_ids[b]
+        if rows is not None:
+            for k, tok in enumerate(sent):
+                if tok not in uniq:
+                    uniq[tok] = len(rows)
+                    rows.append(char_id_row(tok, char_vocab, max_word_len))
+                word_index[b, k] = uniq[tok]
+    return Batch(None if rows is None else np.stack(rows), word_index, mask,
+                 word_ids=words, tag_ids=tags)
+
+
 def lm_batches(corpus, vocab, char_vocab, batch_size, max_word_len, seed=0):
-    """Shuffle, length-bucket and pad sentences into LMBatches."""
+    """Shuffle, length-bucket and pad sentences into Batches with LM targets."""
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
     sentences = [s for s in corpus if s]
@@ -343,26 +382,18 @@ def lm_batches(corpus, vocab, char_vocab, batch_size, max_word_len, seed=0):
     chunks = [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
     chunk_order = rng.permutation(len(chunks))
 
-    pad_row = np.full(max_word_len, PAD, dtype=np.int64)
     batches = []
     for ci in chunk_order:
-        chunk = chunks[ci]
-        B, T = len(chunk), max(len(s) for s in chunk)
-        uniq = {}  # token -> row; row 0, the pad row, is no token's
-        rows = [pad_row]
-        word_index = np.zeros((B, T), dtype=np.int64)
-        fwd = np.full((B, T), PAD, dtype=np.int64)
-        bwd = np.full((B, T), PAD, dtype=np.int64)
-        mask = np.zeros((B, T), dtype=np.float64)
-        for b, sent in enumerate(chunk):
-            ids = [vocab.id(t) for t in sent]
-            for k, tok in enumerate(sent):
-                if tok not in uniq:
-                    uniq[tok] = len(rows)
-                    rows.append(char_id_row(tok, char_vocab, max_word_len))
-                word_index[b, k] = uniq[tok]
-                fwd[b, k] = ids[k + 1] if k + 1 < len(sent) else EOS
-                bwd[b, k] = ids[k - 1] if k > 0 else BOS
-                mask[b, k] = 1.0
-        batches.append(LMBatch(np.stack(rows), word_index, fwd, bwd, mask))
+        batch = pad_batch(chunks[ci], vocab, char_vocab, max_word_len)
+        ids, real = batch.word_ids, batch.mask == 1.0
+        rows = np.arange(len(ids))
+        last = batch.lengths - 1
+        fwd = np.full_like(ids, PAD)
+        fwd[:, :-1] = ids[:, 1:]
+        fwd[rows, last] = EOS
+        bwd = np.full_like(ids, BOS)
+        bwd[:, 1:] = ids[:, :-1]
+        bwd[~real] = PAD
+        batch.fwd_targets, batch.bwd_targets = fwd, bwd
+        batches.append(batch)
     return batches

@@ -41,8 +41,26 @@ class CharEncoderConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["d_char"], tuple(d["filter_widths"]), tuple(d["filter_counts"]),
-                   d["highway_layers"], d["d_out"], d["max_word_len"])
+        """A ValueError names the first size that is not a positive integer
+        (highway_layers may be 0)."""
+        widths, counts = d["filter_widths"], d["filter_counts"]
+        if not (isinstance(widths, list) and isinstance(counts, list)
+                and widths and len(widths) == len(counts)):
+            raise ValueError("filter_widths and filter_counts must be nonempty "
+                             "lists of equal length")
+        widths = tuple(size(w, "filter_widths") for w in widths)
+        counts = tuple(size(n, "filter_counts") for n in counts)
+        return cls(size(d["d_char"], "d_char"), widths, counts,
+                   size(d["highway_layers"], "highway_layers", least=0),
+                   size(d["d_out"], "d_out"),
+                   size(d["max_word_len"], "max_word_len", least=max(3, *widths)))
+
+
+def size(value, name, least=1):
+    """`value` if it is an integer of at least `least`; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} is {value!r}, not an integer >= {least}")
+    return value
 
 
 def char_encoder_table(config, n_chars):

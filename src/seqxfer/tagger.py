@@ -3,7 +3,8 @@
 Word embeddings (optionally frozen, optionally concatenated with
 dropout-masked contextual vectors from an attached BiLM) feed a stacked
 BiLSTM; the CRF head trains with the exact forward-algorithm partition
-and decodes with Viterbi.
+and decodes with Viterbi.  Training and tagging run on padded batches of
+sentences; one sentence is a batch of one.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from . import bilm as bilm_mod
 from .autodiff import Adam, Tensor, clip_by_global_norm, reverse_gradients
 from .bilm import BiLMConfig, contextual_states, params_from_tensors, tensors_from_params
 from .checkpoint import Checkpoint
-from .corpus import (LabeledSequence, UNK, Vocabulary, build_vocab, char_id_row,
+from .corpus import (Batch, LabeledSequence, UNK, Vocabulary, build_vocab, pad_batch,
                      validate_bio)
 from .errors import ContractError, DataError, TransferError
 
@@ -91,71 +92,158 @@ def transition_mask(labels):
 
 
 # CRF primitives -----------------------------------------------------
+# Emissions are [T, m] (one sentence) or [B, T, m] with an optional [B, T]
+# mask whose rows are 1 over a nonempty prefix; transitions are
+# [m + 2, m + 2], START and STOP last.
 
 
-def _check_crf_args(emissions, transitions):
-    e = emissions if isinstance(emissions, Tensor) else ad.constant(emissions)
-    tr = transitions if isinstance(transitions, Tensor) else ad.constant(transitions)
-    if e.data.ndim != 2 or e.data.shape[0] == 0:
-        raise ContractError("emissions must be a nonempty [T, labels] matrix")
-    m = e.data.shape[1]
-    if tr.data.shape != (m + 2, m + 2):
-        raise ContractError(
-            f"transitions shape {tr.data.shape} != ({m + 2}, {m + 2})")
-    plain = not isinstance(emissions, Tensor) and not isinstance(transitions, Tensor)
-    return e, tr, m, plain
+def _crf_args(emissions, transitions, mask):
+    """(emissions as [B, T, m] array, transitions array, [B, T] mask, row
+    lengths, batched)."""
+    e, tr = (x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+             for x in (emissions, transitions))
+    if e.ndim not in (2, 3) or 0 in e.shape[:-1]:
+        raise ContractError("emissions must be a nonempty [T, labels] or "
+                            "[B, T, labels] array")
+    m = e.shape[-1]
+    if tr.shape != (m + 2, m + 2):
+        raise ContractError(f"transitions shape {tr.shape} != ({m + 2}, {m + 2})")
+    batched = e.ndim == 3
+    if not batched:
+        e = e[None]
+    B, T, _ = e.shape
+    if mask is None:
+        return e, tr, np.ones((B, T)), np.full(B, T), batched
+    mask = np.asarray(mask, dtype=np.float64)
+    lengths = mask.sum(axis=1).astype(np.int64) if mask.shape == (B, T) else None
+    if not batched or lengths is None or lengths.min() < 1 \
+            or not (mask == (np.arange(T) < lengths[:, None])).all():
+        raise ContractError("a mask must be [B, T] for [B, T, labels] emissions, "
+                            "each row 1 over a nonempty prefix and 0 after it")
+    return e, tr, mask, lengths, batched
 
 
-def crf_sequence_score(emissions, transitions, tags):
-    """Emission + transition score of one tag path (START and STOP
-    transitions included).  Plain-array inputs return a float."""
-    e, tr, m, plain = _check_crf_args(emissions, transitions)
-    T = e.data.shape[0]
+def one_hot(tags, mask, m):
+    """[B, T, m] indicators of the tags [B, T] at the mask's real positions."""
+    B, T = tags.shape
+    out = np.zeros((B, T, m))
+    out[np.arange(B)[:, None], np.arange(T), np.where(mask == 1.0, tags, 0)] = mask
+    return out
+
+
+def _lse(x, axis):
+    """Max-shifted log-sum-exp along one axis, as `ad.logsumexp_t` computes it."""
+    top = x.max(axis=axis, keepdims=True)
+    return np.squeeze(top + np.log(np.exp(x - top).sum(axis=axis, keepdims=True)), axis)
+
+
+def crf_sequence_score(emissions, transitions, tags, mask=None):
+    """Emission + transition score of tag paths, START and STOP transitions
+    included: a scalar for [T, m] emissions and tags [T], or [B] for
+    [B, T, m] and tags [B, T], each row over its mask's prefix.  Plain-array
+    inputs return a float (or an array)."""
+    e, tr, mask, _, batched = _crf_args(emissions, transitions, mask)
+    B, T, m = e.shape
+    start, stop = m, m + 1
     tags = np.asarray(tags, dtype=np.int64)
-    if tags.shape != (T,):
-        raise ContractError(f"{T} emission rows but {tags.size} tags")
-    if tags.size and (tags.min() < 0 or tags.max() >= m):
+    if tags.shape != ((B, T) if batched else (T,)):
+        raise ContractError(f"{e.shape[:2]} emission rows but tags of shape {tags.shape}")
+    tags = tags.reshape(B, T)
+    real = mask == 1.0
+    if tags[real].min() < 0 or tags[real].max() >= m:
         raise ContractError("tag index out of range")
-    start, stop = m, m + 1
-    score = e[(np.arange(T), tags)].sum() + tr[(start, int(tags[0]))] \
-        + tr[(int(tags[-1]), stop)]
-    if T > 1:
-        score = score + tr[(tags[:-1], tags[1:])].sum()
-    return float(score.data) if plain else score
+    # one-hot gold emissions and per-row transition counts, as constants;
+    # each row's path runs START, its tags, then STOP from its last tag on
+    gold = one_hot(tags, mask, m)
+    path = np.concatenate([np.full((B, 1), start), np.where(real, tags, stop),
+                           np.full((B, 1), stop)], axis=1)
+    counts = np.zeros((B, m + 2, m + 2))
+    np.add.at(counts, (np.arange(B)[:, None], path[:, :-1], path[:, 1:]),
+              path[:, :-1] != stop)
+    if not batched:
+        gold, counts = gold[0], counts[0]
+    axis = (1, 2) if batched else None
+    score = ad.tsum(ad.mul(emissions, gold), axis=axis) \
+        + ad.tsum(ad.mul(transitions, counts), axis=axis)
+    if isinstance(emissions, Tensor) or isinstance(transitions, Tensor):
+        return score
+    return score.data if batched else float(score.data)
 
 
-def crf_log_partition(emissions, transitions):
-    """log-sum-exp over all tag paths via the forward recursion."""
-    e, tr, m, plain = _check_crf_args(emissions, transitions)
-    T = e.data.shape[0]
+def crf_log_partition(emissions, transitions, mask=None):
+    """log-sum-exp of the scores of all tag paths, by the forward
+    recursion, as one graph node: a scalar for [T, m] emissions, [B] for
+    [B, T, m], each row over its mask's prefix.  The backward pass is the
+    node and edge marginals of a masked forward-backward pass.  Plain-array
+    inputs return a float (or an array)."""
+    e, tr, mask, lengths, batched = _crf_args(emissions, transitions, mask)
+    B, T, m = e.shape
     start, stop = m, m + 1
-    alpha = tr[start, :m] + e[0]
+    A = tr[:m, :m]
+    real = mask == 1.0
+    full = real.all(axis=0)
+    alphas = np.empty((T, B, m))    # log-sum over path prefixes ending at t
+    alpha = alphas[0] = tr[start, :m] + e[:, 0]
     for t in range(1, T):
-        scores = ad.reshape(alpha, (m, 1)) + tr[:m, :m] + e[t]
-        alpha = ad.logsumexp_t(scores, axis=0)
-    out = ad.logsumexp_t(alpha + tr[:m, stop], axis=0)
-    return float(out.data) if plain else out
+        new = _lse(alpha[:, :, None] + A + e[:, t, None, :], axis=1)
+        alpha = alphas[t] = new if full[t] else np.where(real[:, t:t + 1], new, alpha)
+    logz = _lse(alpha + tr[:m, stop], axis=1)
+    if not isinstance(emissions, Tensor) and not isinstance(transitions, Tensor):
+        return logz if batched else float(logz[0])
+
+    def _bw(g):
+        w = mask.T[:, :, None] * np.reshape(g, (1, B, 1))      # [T, B, 1]
+        # betas[t]: log-sum over path suffixes after t; padding carries STOP
+        betas = np.empty((T, B, m))
+        beta = betas[T - 1] = np.broadcast_to(tr[:m, stop], (B, m))
+        for t in range(T - 1, 0, -1):
+            new = _lse(A + (e[:, t] + beta)[:, None, :], axis=2)
+            beta = betas[t - 1] = new if full[t] else np.where(real[:, t:t + 1], new, beta)
+        node = np.exp(alphas + betas - logz[:, None]) * w    # [T, B, m] marginals
+        if isinstance(emissions, Tensor) and emissions.requires_grad:
+            emissions._accum(node.transpose(1, 0, 2).reshape(emissions.data.shape))
+        if isinstance(transitions, Tensor) and transitions.requires_grad:
+            # edge marginals of (t - 1, t) for t >= 1; padded edges are -inf
+            x = alphas[:-1, :, :, None] + A \
+                + (e.transpose(1, 0, 2)[1:] + betas[1:])[:, :, None, :] \
+                - logz[:, None, None]
+            x[~real.T[1:]] = -np.inf
+            edge = np.exp(x) * w[1:, :, :, None]
+            dtr = np.zeros_like(tr)
+            dtr[:m, :m] = edge.sum(axis=(0, 1))
+            dtr[start, :m] = node[0].sum(axis=0)
+            dtr[:m, stop] = node[lengths - 1, np.arange(B)].sum(axis=0)
+            transitions._accum(dtr)
+    return ad.node(logz if batched else logz.reshape(()),
+                   (ad._as_tensor(emissions), ad._as_tensor(transitions)), _bw)
 
 
-def viterbi_decode(emissions, transitions):
-    """Argmax tag path; ties go to the lowest label index."""
-    e = np.asarray(emissions.data if isinstance(emissions, Tensor) else emissions)
-    tr = np.asarray(transitions.data if isinstance(transitions, Tensor) else transitions)
-    _check_crf_args(e, tr)
-    T, m = e.shape
+def viterbi_decode(emissions, transitions, mask=None):
+    """Argmax tag path; ties go to the lowest label index.  [T, m]
+    emissions give one path (a list); [B, T, m] give a list of paths, each
+    as long as its mask's prefix."""
+    e, tr, mask, lengths, batched = _crf_args(emissions, transitions, mask)
+    B, T, m = e.shape
     start, stop = m, m + 1
-    score = tr[start, :m] + e[0]
-    back = np.zeros((T, m), dtype=np.int64)
+    real = mask == 1.0
+    full = real.all(axis=0)
+    A = tr[:m, :m]
+    score = tr[start, :m] + e[:, 0]
+    back = np.zeros((T, B, m), dtype=np.int64)
     for t in range(1, T):
-        cand = score[:, None] + tr[:m, :m]
-        best = cand.argmax(axis=0)  # first max = lowest index
-        back[t] = best
-        score = cand[best, np.arange(m)] + e[t]
-    final = score + tr[:m, stop]
-    path = [int(final.argmax())]
-    for t in range(T - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    return path[::-1]
+        cand = score[:, :, None] + A
+        back[t] = cand.argmax(axis=1)  # first max = lowest index
+        new = cand.max(axis=1) + e[:, t]
+        score = new if full[t] else np.where(real[:, t:t + 1], new, score)
+    last = (score + tr[:m, stop]).argmax(axis=1).tolist()
+    back = back.tolist()
+    paths = []
+    for b, (n, y) in enumerate(zip(lengths.tolist(), last)):
+        path = [y]
+        for t in range(n - 1, 0, -1):
+            path.append(back[t][b][path[-1]])
+        paths.append(path[::-1])
+    return paths if batched else paths[0]
 
 
 # model --------------------------------------------------------------
@@ -228,6 +316,29 @@ def tagger_architecture(config, n_words, n_labels, d_ctx, labels,
             "provider": provider_config.to_dict() if provider_config else None}
 
 
+def architecture_labels(arch):
+    """The LabelSet a tagger architecture declares; ValueError or TypeError
+    when its labels or BIO flag are malformed."""
+    labels, bio = arch["labels"], arch["bio"]
+    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+        raise TypeError(f"labels is {labels!r}, not a list of label strings")
+    if not isinstance(bio, bool):
+        raise TypeError(f"bio is {bio!r}, not true or false")
+    try:
+        return LabelSet(labels, bio=bio)
+    except ContractError as exc:
+        raise ValueError(f"labels {labels!r}: {exc}") from None
+
+
+def read_tagger_head(ck):
+    """(head, LabelSet) of the tagger checkpoint `ck`, read once through
+    `Checkpoint.read_architecture`, so a malformed one is a DataError."""
+    if ck.architecture["kind"] != "tagger":
+        raise TransferError(f"{ck.source} is not a tagger checkpoint")
+    return ck.read_architecture(
+        lambda arch: (arch["config"]["head"], architecture_labels(arch)))
+
+
 class TaggerModel:
     def __init__(self, config, word_vocab, labels, params, provider=None):
         self.config = config
@@ -254,63 +365,84 @@ class TaggerModel:
         mask = self._trans_mask
         return trans * mask + (1.0 - mask) * FORBIDDEN
 
-    def emissions(self, tokens, train_mode=False, rng=None, word_ids=None):
-        """Per-token label scores [T, |labels|] (a graph Tensor)."""
-        if not tokens:
-            raise ContractError("empty sentence")
-        T = len(tokens)
-        if word_ids is None:
-            word_ids = np.array([self.word_vocab.id(t) for t in tokens])
+    def batch(self, sentences, rng=None, singletons=()):
+        """Token lists, or LabeledSequences with their tags, padded into one
+        Batch.  With `rng`, each word in `singletons` is swapped for UNK
+        with probability `unk_rate`, one draw per position."""
+        labeled = bool(sentences) and isinstance(sentences[0], LabeledSequence)
+        tokens = [s.tokens for s in sentences] if labeled else sentences
+        tags = [[self.labels.id(t) for t in s.tags] for s in sentences] if labeled else None
+        if self.provider:
+            batch = pad_batch(tokens, self.word_vocab, self.provider.char_vocab,
+                              self.provider.config.encoder.max_word_len, tags)
+        else:
+            batch = pad_batch(tokens, self.word_vocab, tag_ids=tags)
+        if rng is not None and self.config.unk_rate > 0.0 and singletons:
+            T = batch.mask.shape[1]
+            noise = np.array([[t in singletons for t in s] + [False] * (T - len(s))
+                              for s in tokens])
+            swap = noise & (rng.random(noise.shape) < self.config.unk_rate)
+            batch.word_ids = np.where(swap, UNK, batch.word_ids)
+        return batch
+
+    def emissions(self, tokens, train_mode=False, rng=None):
+        """Per-token label scores (a graph Tensor): [T, |labels|] for one
+        token list, [B, T, |labels|] for a Batch."""
+        batch = tokens if isinstance(tokens, Batch) else self.batch([tokens])
         emb_matrix = self.params["tagger.word_emb"]
         if self.config.freeze_word_emb:
             emb_matrix = ad.constant(emb_matrix.data)
-        x = ad.getitem(emb_matrix, word_ids)
+        x = ad.getitem(emb_matrix, batch.word_ids)
         if self.provider:
-            ids = np.stack([char_id_row(t, self.provider.char_vocab,
-                                        self.provider.config.encoder.max_word_len)
-                            for t in tokens])
-            ctx = contextual_states(ids, self.provider.params, self.provider.config)
+            ctx = contextual_states(batch, self.provider.params, self.provider.config)
             if train_mode and self.config.dropout > 0.0:
                 if rng is None:
                     raise ContractError("train_mode dropout needs an rng")
                 keep = 1.0 - self.config.dropout
                 mask = (rng.random(ctx.data.shape) < keep) / keep
                 ctx = ctx * mask
-            x = ad.concat([x, ctx], axis=1)
-        h = ad.reshape(x, (1, T, x.data.shape[1]))
-        ones = np.ones((1, T))
+            x = ad.concat([x, ctx], axis=2)
         for layer in range(self.config.layers):
             fwd = bilm_mod.lstm_forward(
-                h, ones, self.params[f"tagger.l{layer}.fwd.Wx"],
+                x, batch.mask, self.params[f"tagger.l{layer}.fwd.Wx"],
                 self.params[f"tagger.l{layer}.fwd.Wh"],
                 self.params[f"tagger.l{layer}.fwd.b"], reverse=False)
             bwd = bilm_mod.lstm_forward(
-                h, ones, self.params[f"tagger.l{layer}.bwd.Wx"],
+                x, batch.mask, self.params[f"tagger.l{layer}.bwd.Wx"],
                 self.params[f"tagger.l{layer}.bwd.Wh"],
                 self.params[f"tagger.l{layer}.bwd.b"], reverse=True)
-            h = ad.concat([fwd, bwd], axis=2)
-        h = ad.reshape(h, (T, 2 * self.config.hidden))
-        return ad.matmul(h, self.params["tagger.emission.W"]) \
+            x = ad.concat([fwd, bwd], axis=2)
+        em = ad.matmul(x, self.params["tagger.emission.W"]) \
             + self.params["tagger.emission.b"]
+        return em if isinstance(tokens, Batch) else ad.reshape(em, em.data.shape[1:])
 
-    def sentence_loss(self, sentence, train_mode=True, rng=None, word_ids=None):
-        em = self.emissions(sentence.tokens, train_mode=train_mode, rng=rng,
-                            word_ids=word_ids)
-        tag_ids = np.array([self.labels.id(t) for t in sentence.tags])
+    def sentence_loss(self, sentences, train_mode=True, rng=None, singletons=()):
+        """Summed NLL of one LabeledSequence or a list of them, computed as
+        one padded batch; `rng` and `singletons` as in `batch`."""
+        if isinstance(sentences, LabeledSequence):
+            sentences = [sentences]
+        batch = self.batch(sentences, rng if train_mode else None, singletons)
+        em = self.emissions(batch, train_mode=train_mode, rng=rng)
         if self.config.head == "crf":
             trans = self.transitions_used()
-            return crf_log_partition(em, trans) \
-                - crf_sequence_score(em, trans, tag_ids)
-        logp = ad.log_softmax(em, axis=-1)
-        return -(logp[(np.arange(len(sentence)), tag_ids)]).sum()
+            return (crf_log_partition(em, trans, batch.mask)
+                    - crf_sequence_score(em, trans, batch.tag_ids, batch.mask)).sum()
+        gold = one_hot(batch.tag_ids, batch.mask, len(self.labels))
+        return -(ad.log_softmax(em, axis=-1) * gold).sum()
 
-    def decode(self, tokens):
-        em = self.emissions(tokens, train_mode=False).data
-        if self.config.head == "crf":
-            ids = viterbi_decode(em, self.transitions_used().data)
-        else:
-            ids = [int(i) for i in em.argmax(axis=1)]
-        return [self.labels.label(i) for i in ids]
+    def decode(self, sentences):
+        """Labels of one token list, or a list of label lists for a list of
+        token lists, decoded as one padded batch without recording a graph."""
+        single = not sentences or isinstance(sentences[0], str)
+        with ad.no_grad():
+            batch = self.batch([sentences] if single else sentences)
+            em = self.emissions(batch).data
+            if self.config.head == "crf":
+                ids = viterbi_decode(em, self.transitions_used().data, batch.mask)
+            else:
+                ids = [row[:n].tolist() for row, n in zip(em.argmax(axis=2), batch.lengths)]
+        tags = [[self.labels.label(i) for i in row] for row in ids]
+        return tags[0] if single else tags
 
     def trainable_params(self):
         params = {n: p for n, p in self.params.items()
@@ -349,7 +481,7 @@ class TaggerModel:
                 # the provider's softmax head is saved but never used, and its
                 # vocabulary size is not part of the architecture
                 table += bilm_mod.bilm_table(bcfg, len(ck.char_vocab), 0)[:-2]
-            return config, LabelSet(arch["labels"], bio=arch["bio"]), bcfg, table
+            return config, architecture_labels(arch), bcfg, table
 
         config, labels, bcfg, table = ck.read_architecture(read)
         ck.check_tensors(table)
@@ -361,13 +493,21 @@ class TaggerModel:
         return cls(config, ck.word_vocab, labels, params, provider)
 
 
+PREDICT_BATCH = 32  # sentences decoded per padded batch
+
+
 def predict(sentences, model):
-    """Tag sentences (token-string lists or LabeledSequences)."""
-    out = []
-    for sent in sentences:
-        tokens = sent.tokens if isinstance(sent, LabeledSequence) else list(sent)
-        out.append(LabeledSequence(tokens, model.decode(tokens)))
-    return out
+    """Tag sentences (token-string lists or LabeledSequences), decoding
+    them in length-sorted batches of up to PREDICT_BATCH."""
+    tokens = [s.tokens if isinstance(s, LabeledSequence) else list(s) for s in sentences]
+    order = sorted(range(len(tokens)), key=lambda i: len(tokens[i]))
+    tags = [None] * len(tokens)
+    with ad.no_grad():
+        for lo in range(0, len(order), PREDICT_BATCH):
+            chunk = order[lo:lo + PREDICT_BATCH]
+            for i, t in zip(chunk, model.decode([tokens[i] for i in chunk])):
+                tags[i] = t
+    return [LabeledSequence(t, g) for t, g in zip(tokens, tags)]
 
 
 # training -----------------------------------------------------------
@@ -443,18 +583,9 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
         total = 0.0
         for lo in range(0, len(order), batch_size):
             batch = [train[i] for i in order[lo:lo + batch_size]]
-            loss = None
-            for sent in batch:
-                ids = np.array([word_vocab.id(t) for t in sent.tokens])
-                if config.unk_rate > 0.0 and singletons:
-                    noise = np.array([tok in singletons for tok in sent.tokens])
-                    swap = noise & (rng.random(len(ids)) < config.unk_rate)
-                    ids = np.where(swap, UNK, ids)
-                nll = model.sentence_loss(sent, train_mode=True, rng=rng,
-                                          word_ids=ids)
-                loss = nll if loss is None else loss + nll
-                total += float(nll.data)
-            loss = loss / len(batch)
+            nll = model.sentence_loss(batch, rng=rng, singletons=singletons)
+            total += float(nll.data)
+            loss = nll / len(batch)
             if anchors:
                 loss = loss + bilm_mod.anchor_penalty(
                     model.provider.params, anchors, config.anchor_coeff)
@@ -473,7 +604,9 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
                 log_fn(f"epoch={epochs_run} dev_score={score:.4f}")
             if score > best_score:
                 best_score, best_epoch = score, epoch
-                best_state = {n: p.data.copy() for n, p in trainable.items()}
+                # the last epoch's weights are the final ones: nothing to copy
+                best_state = None if epoch == epochs - 1 else \
+                    {n: p.data.copy() for n, p in trainable.items()}
             if patience is not None and epoch - best_epoch >= patience:
                 break
         if stop_at_train_f1 is not None:

@@ -39,6 +39,8 @@ class LabelMapping:
     pairs: dict            # source label -> target label (identical strings)
     dropped: list          # source labels with no target counterpart
     new: list              # target labels absent from the source
+    source: LabelSet
+    target: LabelSet
 
     def to_table(self):
         rows = [f"{s} -> {t}" for s, t in sorted(self.pairs.items())]
@@ -52,7 +54,7 @@ def map_label_space(source, target):
     pairs = {l: l for l in source.labels if l in target}
     dropped = [l for l in source.labels if l not in target]
     new = [l for l in target.labels if l not in source]
-    return LabelMapping(pairs, dropped, new)
+    return LabelMapping(pairs, dropped, new, source, target)
 
 
 @dataclass
@@ -130,9 +132,10 @@ def _fresh_target_tensors(target_arch, seed):
     return tensors_from_params(ad.init_params(table, seed))
 
 
-def _mapped_label_copy(name, fresh, src, src_labels, tgt_labels, mapping):
+def _mapped_label_copy(name, fresh, src, mapping):
     """Copy label-indexed rows/columns for mapped labels only."""
     out = fresh.copy()
+    src_labels, tgt_labels = mapping.source, mapping.target
     pairs = [(src_labels.id(s), tgt_labels.id(t)) for s, t in mapping.pairs.items()]
     if name == "tagger.emission.W":
         if src.shape[0] != fresh.shape[0]:
@@ -173,13 +176,7 @@ def transfer_init(source, target_arch, policy, seed, target_char_vocab=None):
         raise ContractError(
             "policy does not cover parameter group(s): " + ", ".join(sorted(missing)))
 
-    src_labels = tgt_labels = None
     mapping = policy.label_mapping
-    if mapping is not None:
-        src_labels = LabelSet(source.architecture["labels"],
-                              bio=source.architecture.get("bio", True))
-        tgt_labels = LabelSet(target_arch["labels"],
-                              bio=target_arch.get("bio", True))
 
     report = TransferReport(label_mapping=mapping)
     out = {}
@@ -195,9 +192,8 @@ def transfer_init(source, target_arch, policy, seed, target_char_vocab=None):
             src_arr = source.tensors[name]
             consumed.add(name)
             if mapping is not None and name in _LABEL_INDEXED \
-                    and src_labels.labels != tgt_labels.labels:
-                out[name] = _mapped_label_copy(name, fresh[name], src_arr,
-                                               src_labels, tgt_labels, mapping)
+                    and mapping.source.labels != mapping.target.labels:
+                out[name] = _mapped_label_copy(name, fresh[name], src_arr, mapping)
                 report.copied.append((name, shape, "mapped labels only"))
             else:
                 if src_arr.shape != shape:

@@ -57,23 +57,54 @@ def _enumerate_paths(e, tr):
     return logz, best_path
 
 
+def _padded_batches(instances, size=8):
+    """The instances grouped by label count into padded [B, 5, m] batches of
+    up to `size` rows; each batch shares its first instance's transitions."""
+    by_m = {}
+    for e, tr in instances:
+        by_m.setdefault(e.shape[1], []).append((e, tr))
+    for m, group in sorted(by_m.items()):
+        for lo in range(0, len(group), size):
+            rows = [e for e, _ in group[lo:lo + size]]
+            tr = group[lo][1]
+            batch = np.zeros((len(rows), 5, m))
+            mask = np.zeros((len(rows), 5))
+            for b, e in enumerate(rows):
+                batch[b, :len(e)] = e
+                mask[b, :len(e)] = 1.0
+            yield rows, batch, mask, tr
+
+
 def test_criterion_01_crf_oracle_equivalence():
     start = time.time()
     rng = np.random.default_rng(0)
     n_instances = 500
     worst = 0.0
+    instances = []
     for _ in range(n_instances):
         T = int(rng.integers(1, 6))        # sentence length <= 5
         m = int(rng.integers(2, 5))        # <= 4 labels
         e = rng.normal(size=(T, m)) * 2.0
         tr = rng.normal(size=(m + 2, m + 2)) * 2.0
+        instances.append((e, tr))
         logz_ref, path_ref = _enumerate_paths(e, tr)
         worst = max(worst, abs(tg.crf_log_partition(e, tr) - logz_ref))
         assert tg.viterbi_decode(e, tr) == path_ref
-    assert worst < 1e-9
+    # the same emissions again, packed into padded batches
+    worst_batched, n_batches = 0.0, 0
+    for rows, batch, mask, tr in _padded_batches(instances):
+        logz = tg.crf_log_partition(batch, tr, mask)
+        paths = tg.viterbi_decode(batch, tr, mask)
+        for b, e in enumerate(rows):
+            logz_ref, path_ref = _enumerate_paths(e, tr)
+            worst_batched = max(worst_batched, abs(logz[b] - logz_ref))
+            assert paths[b] == path_ref
+        n_batches += 1
+    assert worst < 1e-9 and worst_batched < 1e-9
     elapsed = time.time() - start
     assert elapsed < 10.0
     _report(1, f"{n_instances} instances, max |logZ error| {worst:.2e}, "
+               f"{worst_batched:.2e} in {n_batches} padded batches, "
                f"all decodes exact, {elapsed:.1f}s")
 
 

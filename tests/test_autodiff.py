@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from seqxfer import autodiff as ad
 from seqxfer import bilm
+from seqxfer import tagger as tg
 from seqxfer.errors import ContractError, NumericError
 
 
@@ -123,7 +124,7 @@ def _p(*shape):
     return ad.parameter("p", np.random.default_rng(0).uniform(0.5, 1.5, size=shape))
 
 
-# every primitive op, and the fused LSTM layer, on inputs that require grad
+# every primitive op and the fused LSTM and CRF ops, on inputs that require grad
 GRAPH_OPS = {
     "add": lambda: ad.add(_p(2, 3), _p(3)),
     "mul": lambda: ad.mul(_p(2, 3), _p(2, 3)),
@@ -142,6 +143,8 @@ GRAPH_OPS = {
     "log_softmax": lambda: ad.log_softmax(_p(2, 3), axis=-1),
     "lstm_forward": lambda: bilm.lstm_forward(_p(2, 4, 3), np.ones((2, 4)),
                                               _p(3, 8), _p(2, 8), _p(8)),
+    "crf_log_partition": lambda: tg.crf_log_partition(
+        _p(2, 4, 3), _p(5, 5), np.array([[1, 1, 1, 1], [1, 1, 0, 0]])),
 }
 
 

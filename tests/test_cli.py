@@ -246,7 +246,7 @@ class TestPolicyFile:
         path = tmp_path_factory.mktemp("policy") / "p.policy"
         path.write_bytes(text.encode("utf-8"))
         try:
-            policy = cli._load_policy(path, source=None)
+            policy = cli._load_policy(path)
         except DataError:
             return
         assert set(policy.actions) <= set(transfer_mod.GROUPS)
@@ -306,6 +306,11 @@ class TestCheckpointArchitecture:
         "architecture-list": lambda ck: ck.manifest.update(architecture=["bilm"]),
         "n_chars-string": lambda ck: ck.architecture.update(n_chars="x"),
         "no-char_vocab": lambda ck: setattr(ck, "char_vocab", None),
+        # sizes that no tensor shape checks
+        "max_word_len-string": lambda ck: ck.architecture["config"]["encoder"].update(
+            max_word_len="x"),
+        "highway_layers-negative": lambda ck: ck.architecture["config"]["encoder"].update(
+            highway_layers=-1),
     }
 
     @pytest.mark.parametrize("command", ["train-ner", "finetune-lm"])
@@ -319,6 +324,27 @@ class TestCheckpointArchitecture:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ws / 'bad.ckpt'}: ")
         assert not (ws / "ner.ckpt").exists() and not (ws / "ft.ckpt").exists()
+
+
+class TestTaggerCheckpointArchitecture:
+    BAD = {
+        "no-config": lambda arch: arch.pop("config"),
+        "no-labels": lambda arch: arch.pop("labels"),
+        "labels-not-a-list": lambda arch: arch.update(labels="X PROPN"),
+    }
+
+    @pytest.mark.parametrize("command", ["train-ner", "transfer-init"])
+    @pytest.mark.parametrize("edit", list(BAD.values()), ids=list(BAD))
+    def test_malformed_architecture_is_1_and_named(self, ws, capsys, command, edit):
+        ck = Checkpoint.load(_pos_checkpoint(ws))
+        edit(ck.architecture)
+        ck.save(ws / "bad.ckpt")
+        capsys.readouterr()
+        assert _run([command, "--config", ws / "tiny.cfg", "--init", ws / "bad.ckpt",
+                     "--train", ws / "train.conll", "--epochs", 1,
+                     "--out", ws / "out.ckpt"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ws / 'bad.ckpt'}: ")
+        assert not (ws / "out.ckpt").exists()
 
 
 @pytest.mark.parametrize("kind", ["conll", "corpus", "config", "policy"])

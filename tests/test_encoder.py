@@ -3,10 +3,11 @@ import pytest
 
 from seqxfer import autodiff as ad
 from seqxfer import encoder as enc
+from seqxfer.bilm import BiLMConfig
 from seqxfer.corpus import build_char_vocab, char_id_row
 from seqxfer.errors import ContractError
 
-from conftest import tiny_encoder_config
+from conftest import tiny_bilm_config, tiny_encoder_config
 
 
 def _setup(seed=0):
@@ -120,3 +121,23 @@ class TestEncoderGradients:
             return (diff * diff).sum()
 
         assert ad.finite_difference_check(loss_fn, params, max_coords=120) < 1e-4
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d_char", 0), ("d_char", True), ("filter_widths", [1, "2", 3]),
+    ("filter_widths", [1, 2]), ("filter_counts", 4), ("highway_layers", -1),
+    ("d_out", 2.5), ("max_word_len", "x"), ("max_word_len", 2),
+])
+def test_from_dict_rejects_bad_sizes(key, value):
+    d = tiny_encoder_config().to_dict()
+    d[key] = value
+    with pytest.raises(ValueError, match="filter_" if key.startswith("filter_") else key):
+        enc.CharEncoderConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("key, value", [("lm_hidden", "16"), ("lm_layers", 0)])
+def test_bilm_from_dict_rejects_bad_sizes(key, value):
+    d = tiny_bilm_config().to_dict()
+    d[key] = value
+    with pytest.raises(ValueError, match=key):
+        BiLMConfig.from_dict(d)

@@ -41,6 +41,24 @@ def brute_force_decode(emissions, transitions):
     return best_path
 
 
+def reference_crf_log_partition(emissions, transitions):
+    """The unfused forward recursion of one [T, m] sentence, one small graph
+    per step; the oracle of the fused `crf_log_partition`."""
+    e, tr = emissions, transitions
+    T, m = e.data.shape
+    start, stop = m, m + 1
+    alpha = tr[start, :m] + e[0]
+    for t in range(1, T):
+        scores = ad.reshape(alpha, (m, 1)) + tr[:m, :m] + e[t]
+        alpha = ad.logsumexp_t(scores, axis=0)
+    return ad.logsumexp_t(alpha + tr[:m, stop], axis=0)
+
+
+def prefix_mask(lengths, T=None):
+    T = T or max(lengths)
+    return (np.arange(T) < np.array(lengths)[:, None]).astype(np.float64)
+
+
 def random_instance(rng, T=None, m=None):
     T = T or int(rng.integers(1, 6))
     m = m or int(rng.integers(2, 5))
@@ -106,6 +124,99 @@ class TestCRFPrimitives:
             return tg.crf_log_partition(e, tr) - tg.crf_sequence_score(e, tr, tags)
 
         assert ad.finite_difference_check(loss_fn, {"e": e, "tr": tr}) < 1e-6
+
+
+class TestFusedCRF:
+    # (row lengths, labels): ragged rows, one-row batches, length-1 rows,
+    # and the smallest label set next to a 4-type BIO set
+    CASES = [([6, 3, 1, 4], 2), ([6, 3, 1, 4], 9), ([5], 3), ([1], 9),
+             ([1, 1], 4), ([7, 7, 2], 5), ([2, 8, 8, 1, 5], 9)]
+
+    @pytest.mark.parametrize("lengths, m", CASES)
+    @pytest.mark.parametrize("bio", [False, True])
+    def test_matches_reference_composition(self, lengths, m, bio):
+        rng = np.random.default_rng(len(lengths) * 10 + m)
+        B, T = len(lengths), max(lengths)
+        tr0 = rng.normal(size=(m + 2, m + 2)) * 2.0
+        if bio:  # BIO-illegal transitions clamped, as the tagger uses them
+            names = ["O"] + [f"{p}-T{k}" for k in range(m) for p in "BI"]
+            mask_tr = tg.transition_mask(tg.LabelSet(names[:m]))
+            tr0 = tr0 * mask_tr + (1.0 - mask_tr) * tg.FORBIDDEN
+        e = ad.parameter("e", rng.normal(size=(B, T, m)) * 2.0)
+        tr = ad.parameter("tr", tr0)
+        cot = rng.normal(size=B)
+        fused = tg.crf_log_partition(e, tr, prefix_mask(lengths))
+        got = ad.reverse_gradients((fused * cot).sum(), {"e": e, "tr": tr})
+        refs = [reference_crf_log_partition(e[b, :n], tr) for b, n in enumerate(lengths)]
+        total = refs[0] * cot[0]
+        for b in range(1, B):
+            total = total + refs[b] * cot[b]
+        want = ad.reverse_gradients(total, {"e": e, "tr": tr})
+        assert fused.data.shape == (B,)
+        assert np.abs(fused.data - [float(r.data) for r in refs]).max() <= 1e-12
+        for name in ("e", "tr"):
+            assert np.abs(got[name] - want[name]).max() <= 1e-12, name
+        # padded positions get no gradient
+        assert not got["e"][prefix_mask(lengths) == 0.0].any()
+
+    @pytest.mark.parametrize("T, m", [(1, 2), (4, 3), (6, 9)])
+    def test_one_sentence_matches_reference(self, T, m):
+        rng = np.random.default_rng(T + m)
+        e = ad.parameter("e", rng.normal(size=(T, m)))
+        tr = ad.parameter("tr", rng.normal(size=(m + 2, m + 2)))
+        fused = tg.crf_log_partition(e, tr)
+        ref = reference_crf_log_partition(e, tr)
+        assert fused.data.shape == ()
+        assert abs(float(fused.data) - float(ref.data)) <= 1e-12
+        got = ad.reverse_gradients(fused, {"e": e, "tr": tr})
+        want = ad.reverse_gradients(ref, {"e": e, "tr": tr})
+        for name in ("e", "tr"):
+            assert np.abs(got[name] - want[name]).max() <= 1e-12, name
+
+    def test_padded_batch_nll_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        lengths = [4, 1, 3]
+        mask = prefix_mask(lengths, T=5)   # one all-padding column
+        e = ad.parameter("e", rng.normal(size=(3, 5, 3)))
+        tr = ad.parameter("tr", rng.normal(size=(5, 5)))
+        tags = rng.integers(0, 3, size=(3, 5))
+
+        def loss_fn():
+            return (tg.crf_log_partition(e, tr, mask)
+                    - tg.crf_sequence_score(e, tr, tags, mask)).sum()
+
+        assert ad.finite_difference_check(loss_fn, {"e": e, "tr": tr}) < 1e-6
+
+    def test_batched_score_and_decode_equal_per_row(self):
+        rng = np.random.default_rng(12)
+        lengths = [3, 5, 1, 2]
+        e = rng.normal(size=(4, 5, 4))
+        tr = rng.normal(size=(6, 6))
+        tags = rng.integers(0, 4, size=(4, 5))
+        mask = prefix_mask(lengths)
+        scores = tg.crf_sequence_score(e, tr, tags, mask)
+        logz = tg.crf_log_partition(e, tr, mask)
+        paths = tg.viterbi_decode(e, tr, mask)
+        for b, n in enumerate(lengths):
+            assert scores[b] == pytest.approx(
+                tg.crf_sequence_score(e[b, :n], tr, tags[b, :n]), abs=1e-12)
+            assert logz[b] == pytest.approx(tg.crf_log_partition(e[b, :n], tr), abs=1e-12)
+            assert paths[b] == tg.viterbi_decode(e[b, :n], tr)
+            assert paths[b] == brute_force_decode(e[b, :n], tr)
+
+    @pytest.mark.parametrize("mask", [
+        [[1, 0, 1]],            # a hole inside the row
+        [[0, 0, 0]],            # an empty row
+        [[1, 1, 1], [1, 1, 1]],  # wrong batch size
+        1.0,                    # not [B, T]
+    ])
+    def test_bad_mask_rejected(self, mask):
+        with pytest.raises(ContractError):
+            tg.crf_log_partition(np.zeros((1, 3, 2)), np.zeros((4, 4)), np.array(mask))
+
+    def test_mask_needs_a_batch(self):
+        with pytest.raises(ContractError):
+            tg.crf_log_partition(np.zeros((3, 2)), np.zeros((4, 4)), np.ones((1, 3)))
 
 
 class TestTransitionMask:
@@ -279,3 +390,123 @@ class TestTrainTagger:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ContractError):
             tg.train_tagger([], tg.LabelSet(["O"]), tiny_tagger_config())
+
+
+def mixed_length_corpus():
+    """Sentences of 1 to 7 tokens, in no length order."""
+    corpus = toy_ner_corpus(6)
+    return [LabeledSequence(s.tokens[:n], s.tags[:n])
+            for s, n in zip(corpus, (7, 1, 5, 3, 2, 4))]
+
+
+def batching_model(head, with_provider):
+    from seqxfer import bilm
+    from seqxfer.corpus import build_char_vocab
+    from conftest import tiny_bilm_config
+    corpus = mixed_length_corpus()
+    tokens = [s.tokens for s in corpus]
+    provider = None
+    if with_provider:
+        chars, bcfg = build_char_vocab(tokens), tiny_bilm_config()
+        provider = tg.ContextualProvider(
+            bilm.init_bilm_params(bcfg, len(chars), 9, seed=3), bcfg, chars)
+    labels = tg.LabelSet.from_sequences(corpus, bio=head == "crf")
+    model = tg.TaggerModel.init(tiny_tagger_config(head=head, layers=2),
+                                build_vocab(tokens[:3]), labels, 1, provider)
+    if head == "crf":  # nonzero transitions, so they matter
+        trans = model.params["tagger.crf.trans"]
+        trans.data[:] = np.random.default_rng(4).normal(size=trans.data.shape)
+    return model, corpus
+
+
+class TestBatching:
+    @pytest.mark.parametrize("with_provider", [False, True])
+    @pytest.mark.parametrize("head", ["crf", "softmax"])
+    def test_batch_loss_is_sum_of_sentence_losses(self, head, with_provider):
+        model, corpus = batching_model(head, with_provider)
+        params = model.trainable_params()
+        batch_loss = model.sentence_loss(corpus, train_mode=False)
+        got = ad.reverse_gradients(batch_loss, params)
+        total, want = 0.0, {n: np.zeros_like(p.data) for n, p in params.items()}
+        for sent in corpus:
+            loss = model.sentence_loss(sent, train_mode=False)
+            total += float(loss.data)
+            for n, g in ad.reverse_gradients(loss, params).items():
+                want[n] += g
+        assert abs(float(batch_loss.data) - total) <= 1e-12 * max(1.0, abs(total))
+        for n in params:
+            assert np.abs(got[n] - want[n]).max() <= 1e-12, n
+
+    @pytest.mark.parametrize("with_provider", [False, True])
+    @pytest.mark.parametrize("head", ["crf", "softmax"])
+    def test_batch_predict_equals_one_sentence_predict(self, head, with_provider):
+        model, corpus = batching_model(head, with_provider)
+        sentences = [s.tokens for s in corpus] * 7   # two batches
+        assert len(sentences) > tg.PREDICT_BATCH
+        batched = tg.predict(sentences, model)
+        assert [p.tokens for p in batched] == sentences
+        assert [p.tags for p in batched] == \
+            [tg.predict([s], model)[0].tags for s in sentences]
+        assert [p.tags for p in batched] == model.decode(sentences)
+
+    def test_emissions_of_one_sentence_are_its_batch_row(self):
+        model, corpus = batching_model("crf", True)
+        batch = model.batch(corpus)
+        em = model.emissions(batch).data
+        for b, sent in enumerate(corpus):
+            one = model.emissions(sent.tokens).data
+            assert one.shape == (len(sent), len(model.labels))
+            assert np.abs(em[b, :len(sent)] - one).max() <= 1e-12
+
+    def test_unk_swap_draws_per_batch_position(self):
+        model, corpus = batching_model("crf", False)
+        model.config.unk_rate = 0.5
+        rng = np.random.default_rng(0)
+        batch = model.batch(corpus, rng=rng, singletons={"alice", "to"})
+        plain = model.batch(corpus)
+        swapped = batch.word_ids != plain.word_ids
+        assert swapped.any()
+        words = np.array([s.tokens + [""] * (7 - len(s)) for s in corpus])
+        assert np.isin(words[swapped], ["alice", "to"]).all()
+        assert (batch.word_ids[swapped] == 1).all()   # UNK
+
+
+class TestNoGrad:
+    def test_records_no_parents(self):
+        x = ad.parameter("x", np.ones(3))
+        with ad.no_grad():
+            y = ad.tanh(x * 2.0) + x
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert (x * 2.0).requires_grad
+
+    def test_nests_and_restores(self):
+        x = ad.parameter("x", np.ones(3))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_restores_after_an_exception(self):
+        x = ad.parameter("x", np.ones(3))
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        assert (x * 2.0).requires_grad
+
+    @pytest.mark.parametrize("head", ["crf", "softmax"])
+    def test_decode_builds_no_graph_node(self, head, monkeypatch):
+        model, corpus = batching_model(head, True)
+        built = []
+        node = ad.node
+
+        def counting(data, parents, backward):
+            out = node(data, parents, backward)
+            built.append(out.requires_grad)
+            return out
+        monkeypatch.setattr(ad, "node", counting)
+        model.decode([s.tokens for s in corpus])
+        tg.predict(corpus, model)
+        assert built and not any(built)
+        model.sentence_loss(corpus[0], train_mode=False)
+        assert any(built)
