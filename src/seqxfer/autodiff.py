@@ -418,18 +418,6 @@ class Adam:
             v_hat = v / (1.0 - self.beta2 ** t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self):
-        return {
-            "step": self.step_count,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state(self, state):
-        self.step_count = state["step"]
-        self.m = {k: v.copy() for k, v in state["m"].items()}
-        self.v = {k: v.copy() for k, v in state["v"].items()}
-
 
 def clip_by_global_norm(grads, max_norm):
     """Scale the whole gradient dict so its global L2 norm is <= max_norm."""

@@ -293,13 +293,38 @@ def _check_architecture(init_arch, config, n_chars, n_words):
 
 
 def anchor_penalty(params, anchors, coeff):
-    """L2 pull toward the initial (pre-fine-tuning) values."""
-    term = None
-    for name, ref in anchors.items():
-        d = params[name] - ad.constant(ref)
-        sq = (d * d).sum()
-        term = sq if term is None else term + sq
-    return term * coeff
+    """L2 pull toward the initial (pre-fine-tuning) values: one graph node
+    over every anchored parameter, valued coeff * sum ||p - anchor||^2.
+    Its backward adds 2 * coeff * g * (p - anchor) to each parameter."""
+    tensors = [params[name] for name in anchors]
+    diffs = [p.data - anchors[name] for name, p in zip(anchors, tensors)]
+    total = sum(float((d * d).sum()) for d in diffs)
+
+    def _bw(g):
+        scale = 2.0 * coeff * g
+        for p, d in zip(tensors, diffs):
+            if p.requires_grad:
+                p._accum(scale * d)
+    return ad.node(total * coeff, tensors, _bw)
+
+
+def training_step(params, lm_params, anchor_coeff, clip_norm, lr, beta1, beta2, eps):
+    """The Adam step of both trainers, as `step(loss)`: with anchor_coeff
+    > 0 it adds the pull of the non-head `lm_params` toward their values
+    now, then updates `params` in place from their clipped gradients."""
+    anchors = {}
+    if anchor_coeff > 0.0:
+        anchors = {name: p.data.copy() for name, p in lm_params.items()
+                   if name not in HEAD_PARAMS}
+    opt = Adam(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+
+    def step(loss):
+        if anchors:
+            loss = loss + anchor_penalty(lm_params, anchors, anchor_coeff)
+        grads = reverse_gradients(loss, params)
+        grads, _ = clip_by_global_norm(grads, clip_norm)
+        opt.step(params, grads)
+    return step
 
 
 def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
@@ -331,12 +356,7 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
         params = init_bilm_params(config, len(char_vocab), len(vocab), seed)
         provenance = [{"event": "pretrain", "epochs": epochs, "seed": seed}]
 
-    anchors = {}
-    if anchor_coeff > 0.0:
-        anchors = {name: p.data.copy() for name, p in params.items()
-                   if name not in HEAD_PARAMS}
-
-    opt = Adam(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    step = training_step(params, params, anchor_coeff, clip_norm, lr, beta1, beta2, eps)
     epoch_losses = []
     for epoch in range(epochs):
         batches = lm_batches(corpus, vocab, char_vocab, batch_size,
@@ -348,11 +368,7 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
             loss = (fwd + bwd) / (2.0 * n)
             total += float(loss.data) * n
             count += n
-            if anchors:
-                loss = loss + anchor_penalty(params, anchors, anchor_coeff)
-            grads = reverse_gradients(loss, params)
-            grads, _ = clip_by_global_norm(grads, clip_norm)
-            opt.step(params, grads)
+            step(loss)
         epoch_losses.append(total / count)
         if log_fn:
             log_fn(f"epoch={epoch + 1} lm_train_loss={epoch_losses[-1]:.6f}")

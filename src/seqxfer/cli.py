@@ -15,7 +15,7 @@ from . import bilm as bilm_mod
 from . import corpus as corpus_mod
 from . import evaluation, tagger as tagger_mod, transfer as transfer_mod
 from .checkpoint import Checkpoint
-from .encoder import CharEncoderConfig
+from .encoder import CharEncoderConfig, size
 from .errors import ContractError, DataError, NumericError, TransferError
 
 
@@ -49,23 +49,43 @@ class RunConfig:
     unk_rate: float = 0.1
     freeze_word_emb: int = 0
 
-    def encoder_config(self):
-        return CharEncoderConfig(
-            d_char=self.d_char,
-            filter_widths=tuple(int(x) for x in self.filter_widths.split(",")),
-            filter_counts=tuple(int(x) for x in self.filter_counts.split(",")),
-            d_out=self.d_out, max_word_len=self.max_word_len)
-
     def bilm_config(self):
-        return bilm_mod.BiLMConfig(self.encoder_config(), self.lm_hidden,
-                                   self.lm_layers)
+        """The BiLM sizes, checked by the validator that checkpoints use."""
+        encoder = dict(CharEncoderConfig().to_dict(), d_char=self.d_char,
+                       filter_widths=_int_list(self.filter_widths),
+                       filter_counts=_int_list(self.filter_counts),
+                       d_out=self.d_out, max_word_len=self.max_word_len)
+        return _checked(bilm_mod.BiLMConfig.from_dict, {
+            "encoder": encoder, "lm_hidden": self.lm_hidden, "lm_layers": self.lm_layers})
 
     def tagger_config(self, head=None, anchor=0.0):
+        for key in ("d_word", "hidden", "layers"):
+            _checked(size, getattr(self, key), key)
         return tagger_mod.TaggerConfig(
             d_word=self.d_word, hidden=self.hidden, layers=self.layers,
             dropout=self.dropout, head=head or self.head,
             freeze_word_emb=bool(self.freeze_word_emb),
             unk_rate=self.unk_rate, anchor_coeff=anchor)
+
+
+def _int_list(text):
+    """Comma-separated integers; an item that is not one stays a string,
+    for the size check to name."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(int(item))
+        except ValueError:
+            items.append(item)
+    return items
+
+
+def _checked(build, *args):
+    """build(*args), with the ValueError of a bad size as a DataError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise DataError(f"bad config: {exc}") from None
 
 
 def _assignments(path, expected):
@@ -210,6 +230,7 @@ def _train_tagger_common(args, cfg, head):
             _, init_tensors, report = _transfer_tagger(args, cfg, src, head,
                                                        word_vocab, labels)
     tcfg = cfg.tagger_config(head=head, anchor=anchor)
+    _checked(size, cfg.batch_size, "batch_size")
     vectors = None
     if args.vectors:
         vectors, coverage = corpus_mod.load_word_vectors(
@@ -351,8 +372,7 @@ def run(argv):
         cfg = load_config(args.config, {k: v for k, v in overrides.items()
                                         if v is not None})
         return COMMANDS[args.command][0](args, cfg)
-    except (DataError, ContractError, TransferError, NumericError,
-            FileNotFoundError) as exc:
+    except (DataError, ContractError, TransferError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

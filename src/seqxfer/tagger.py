@@ -13,7 +13,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import bilm as bilm_mod
-from .autodiff import Adam, Tensor, clip_by_global_norm, reverse_gradients
+from .autodiff import Tensor
+# not called here: kept only because bench/tracing.py wraps them on tagger
+from .autodiff import clip_by_global_norm, reverse_gradients
 from .bilm import BiLMConfig, contextual_states, params_from_tensors, tensors_from_params
 from .checkpoint import Checkpoint
 from .corpus import (Batch, LabeledSequence, UNK, Vocabulary, build_vocab, pad_batch,
@@ -566,13 +568,9 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
     counts = Counter(t for s in train for t in s.tokens)
     singletons = {t for t, c in counts.items() if c == 1}
 
-    anchors = {}
-    if provider and config.anchor_coeff > 0.0:
-        anchors = {n: p.data.copy() for n, p in provider.params.items()
-                   if n not in bilm_mod.HEAD_PARAMS}
-
     trainable = model.trainable_params()
-    opt = Adam(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    step = bilm_mod.training_step(trainable, provider.params if provider else {},
+                                  config.anchor_coeff, clip_norm, lr, beta1, beta2, eps)
     train_losses, dev_scores = [], []
     best_score, best_epoch, best_state = -1.0, -1, None
 
@@ -585,13 +583,7 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
             batch = [train[i] for i in order[lo:lo + batch_size]]
             nll = model.sentence_loss(batch, rng=rng, singletons=singletons)
             total += float(nll.data)
-            loss = nll / len(batch)
-            if anchors:
-                loss = loss + bilm_mod.anchor_penalty(
-                    model.provider.params, anchors, config.anchor_coeff)
-            grads = reverse_gradients(loss, trainable)
-            grads, _ = clip_by_global_norm(grads, clip_norm)
-            opt.step(trainable, grads)
+            step(nll / len(batch))
         epochs_run = epoch + 1
         train_losses.append(total / len(train))
         if log_fn:

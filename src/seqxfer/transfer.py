@@ -69,10 +69,6 @@ class TransferPolicy:
     actions: dict
     label_mapping: LabelMapping = None
 
-    @classmethod
-    def all_copy(cls, groups):
-        return cls({g: "copy" for g in groups})
-
 
 @dataclass
 class TransferReport:
@@ -80,7 +76,6 @@ class TransferReport:
     reinitialized: list = field(default_factory=list)
     skipped: list = field(default_factory=list)       # incl. unused source params
     label_mapping: LabelMapping = None
-    char_coverage: float = None
 
     def to_text(self):
         lines = ["transfer report", "==============="]
@@ -94,8 +89,6 @@ class TransferReport:
         if self.label_mapping is not None:
             lines.append("label mapping:")
             lines.extend("  " + row for row in self.label_mapping.to_table())
-        if self.char_coverage is not None:
-            lines.append(f"char vocabulary coverage: {self.char_coverage:.4f}")
         return "\n".join(lines) + "\n"
 
 
@@ -108,14 +101,6 @@ def build_shared_char_vocab(corpora):
     if not corpora:
         raise ContractError("at least one corpus required")
     return build_char_vocab([sent for corpus in corpora for sent in corpus])
-
-
-def char_coverage(source_vocab, target_vocab):
-    """Fraction of the target's non-reserved chars present in the source."""
-    tgt = set(target_vocab.non_reserved())
-    if not tgt:
-        return 1.0
-    return len(tgt & set(source_vocab.non_reserved())) / len(tgt)
 
 
 def _fresh_target_tensors(target_arch, seed):
@@ -162,7 +147,7 @@ def _mapped_label_copy(name, fresh, src, mapping):
 _LABEL_INDEXED = ("tagger.emission.W", "tagger.emission.b", "tagger.crf.trans")
 
 
-def transfer_init(source, target_arch, policy, seed, target_char_vocab=None):
+def transfer_init(source, target_arch, policy, seed):
     """Initialize target parameters from a source checkpoint.
 
     Returns (tensors, TransferReport).  Copy actions are bit-exact and
@@ -214,7 +199,4 @@ def transfer_init(source, target_arch, policy, seed, target_char_vocab=None):
 
     for name in sorted(set(source.tensors) - consumed):
         report.skipped.append((name, source.tensors[name].shape, "source only"))
-
-    if target_char_vocab is not None and source.char_vocab is not None:
-        report.char_coverage = char_coverage(source.char_vocab, target_char_vocab)
     return out, report

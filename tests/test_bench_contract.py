@@ -4,6 +4,7 @@ A rename, or a call that goes round a wrapped attribute, fails here
 instead of inside a benchmark run.  bench/ is only read."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from seqxfer import bilm
 from seqxfer import tagger as tg
-from seqxfer.corpus import build_char_vocab
+from seqxfer.corpus import build_char_vocab, build_vocab
 
 from conftest import tiny_bilm_config, tiny_tagger_config, toy_ner_corpus
 
@@ -65,3 +66,24 @@ def test_tagger_training_and_tagging_run_through_the_wrappers(tracing):
     assert e.ndim == 3
     ratios = tracing.replay_ratios(tracer, repeats=1)
     assert ratios["crf", "tagger.sentence_loss"] > 0.0
+
+
+def test_lm_training_runs_through_the_wrappers(tracing):
+    tokens = [s.tokens for s in toy_ner_corpus(8)]
+    vocab, chars = build_vocab(tokens), build_char_vocab(tokens)
+    tracer = tracing.Tracer(seed=0)
+    with tracer.phase("pretrain"):
+        ck = bilm.train_lm(tokens, vocab, chars, tiny_bilm_config(), epochs=1,
+                           batch_size=4, seed=0)
+    with tracer.phase("finetune"):
+        bilm.train_lm(tokens, epochs=1, init=ck, anchor_coeff=0.01, batch_size=4)
+    spans = Counter(span[0] for span in tracer.spans)
+    for name in ("bilm.train_lm", "bilm.loss", "bilm.anchor_penalty",
+                 "autodiff.backward", "autodiff.clip", "autodiff.adam_step"):
+        assert name in spans, name
+    # two batches per epoch; only the anchored run adds the penalty
+    assert spans["bilm.train_lm"] == 2 and spans["bilm.anchor_penalty"] == 2
+    assert spans["autodiff.backward"] == spans["autodiff.clip"] \
+        == spans["autodiff.adam_step"] == 4
+    summary = tracer.round_summary()
+    assert 0.0 < summary["coverage"]["finetune"] <= 1.0

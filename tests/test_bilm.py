@@ -252,6 +252,75 @@ class TestContextualRepr:
         assert np.array_equal(a, b)
 
 
+def reference_anchor_penalty(params, anchors, coeff):
+    """The unfused anchor penalty: a subtract, square and sum per anchored
+    parameter, chained by adds.  `bilm.anchor_penalty` must agree with it
+    in value and gradient."""
+    term = None
+    for name, ref in anchors.items():
+        d = params[name] - ad.constant(ref)
+        sq = (d * d).sum()
+        term = sq if term is None else term + sq
+    return term * coeff
+
+
+def _anchored(seed):
+    """Named parameters, one of them a constant, and anchors near them."""
+    rng = np.random.default_rng(seed)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 3), "frozen": (4,)}
+    params = {n: ad.parameter(n, rng.normal(size=shape)) for n, shape in shapes.items()}
+    params["frozen"] = ad.constant(params["frozen"].data)
+    anchors = {n: p.data + rng.normal(size=p.data.shape) * 0.3
+               for n, p in params.items()}
+    return params, anchors
+
+
+class TestFusedAnchorPenalty:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("coeff", [1e-3, 0.5, 10.0])
+    def test_matches_unfused_graph(self, seed, coeff):
+        results = []
+        for fn in (reference_anchor_penalty, bilm.anchor_penalty):
+            params, anchors = _anchored(seed)
+            # the penalty added to another loss term, as a training step does
+            loss = fn(params, anchors, coeff) + (params["a"] * params["a"]).sum()
+            trainable = {n: p for n, p in params.items() if p.requires_grad}
+            results.append((float(loss.data), ad.reverse_gradients(loss, trainable),
+                            params["frozen"].grad))
+        (want, want_grads, want_frozen), (got, got_grads, got_frozen) = results
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        assert sorted(got_grads) == ["a", "b", "c"]
+        for name in want_grads:
+            assert np.abs(got_grads[name] - want_grads[name]).max() < 1e-12, name
+        assert want_frozen is None and got_frozen is None
+
+    def test_one_node_over_the_anchored_parameters(self):
+        params, anchors = _anchored(0)
+        out = bilm.anchor_penalty(params, anchors, 0.1)
+        assert out._parents == (params["a"], params["b"], params["c"])
+        cells = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(c is out for c in cells)
+
+    def test_gradient_matches_finite_differences(self):
+        params, anchors = _anchored(5)
+        trainable = {n: p for n, p in params.items() if p.requires_grad}
+        cotangent = np.random.default_rng(6).normal(size=(3, 4))
+
+        def loss_fn():
+            return bilm.anchor_penalty(params, anchors, 0.7) \
+                + (params["a"] * cotangent).sum()
+
+        assert ad.finite_difference_check(loss_fn, trainable) < 1e-6
+
+    def test_constant_parameters_record_no_graph(self):
+        params, anchors = _anchored(0)
+        frozen = {"frozen": params["frozen"]}
+        out = bilm.anchor_penalty(frozen, {"frozen": anchors["frozen"]}, 2.0)
+        assert not out.requires_grad and out._backward is None
+        d = params["frozen"].data - anchors["frozen"]
+        assert float(out.data) == pytest.approx(2.0 * float((d * d).sum()), rel=1e-14)
+
+
 class TestTrainLM:
     def test_loss_decreases_and_is_seeded(self):
         config, vocab, cvocab, _ = _setup()

@@ -364,3 +364,42 @@ def test_non_utf8_file_is_1_and_named(ws, capsys, kind):
     assert _run(argv) == 1
     assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
     assert not (ws / "out").exists()
+
+
+class TestDirectoryPaths:
+    """A directory where a file is expected is an OSError: exit 1, named."""
+
+    def test_corpus_directory_is_1(self, ws, capsys):
+        assert _run(["pretrain-lm", "--config", ws / "tiny.cfg", "--corpus", ws,
+                     "--out", ws / "out.ckpt"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (ws / "out.ckpt").exists()
+
+    def test_gold_directory_is_1(self, ws, capsys):
+        assert _run(["evaluate", "--gold", ws, "--pred", ws / "test.conll"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_directory_is_1_and_leaves_no_tmp(self, ws, capsys):
+        (ws / "taken").mkdir()
+        assert _run(["pretrain-lm", "--config", ws / "tiny.cfg", "--corpus",
+                     ws / "lm.txt", "--epochs", 1, "--out", ws / "taken"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list((ws / "taken").iterdir()) == []
+        assert not list(ws.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("pretrain-lm", "filter_widths=1,x", "filter_widths"),
+    ("pretrain-lm", "lm_hidden=-3", "lm_hidden"),
+    ("train-ner", "hidden=-1", "hidden"),
+    ("train-ner", "batch_size=0", "batch_size"),
+])
+def test_bad_size_in_config_is_1_and_named(ws, capsys, command, line, key):
+    (ws / "bad.cfg").write_text(TINY_CFG + line + "\n")
+    data = (["--corpus", ws / "lm.txt"] if command == "pretrain-lm"
+            else ["--train", ws / "train.conll"])
+    assert _run([command, "--config", ws / "bad.cfg", *data, "--epochs", 1,
+                 "--out", ws / "out.ckpt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} is " in err
+    assert not (ws / "out.ckpt").exists()

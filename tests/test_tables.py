@@ -12,7 +12,8 @@ from seqxfer import transfer as xf
 from seqxfer.checkpoint import Checkpoint
 from seqxfer.corpus import build_char_vocab, build_vocab
 
-from conftest import tiny_bilm_config, tiny_encoder_config, tiny_tagger_config
+from conftest import (tiny_bilm_config, tiny_encoder_config, tiny_tagger_config,
+                      toy_ner_corpus)
 
 WORDS = [["alpha", "beta", "gamma"], ["beta", "delta"]]
 OTHER = [["uno", "dos"], ["tres", "dos", "cuatro"]]
@@ -150,4 +151,58 @@ PINNED = [
 @pytest.mark.parametrize("make, seed, digest", PINNED,
                          ids=[f"{m.__name__[8:]}-seed{s}" for m, s, _ in PINNED])
 def test_pinned_init_digest(make, seed, digest):
+    assert make(seed) == digest
+
+
+def _digest_train_lm(seed):
+    corpus = WORDS + OTHER
+    return bilm.train_lm(corpus, build_vocab(corpus), build_char_vocab(corpus),
+                         tiny_bilm_config(), epochs=2, batch_size=2, lr=0.01,
+                         seed=seed).digest()
+
+
+def _digest_tagger_dev(seed):
+    """Early stopping: the best epoch is the second, and the third stops."""
+    corpus = toy_ner_corpus(12)
+    model, metrics = tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus),
+                                     tiny_tagger_config(), epochs=4, batch_size=4,
+                                     lr=0.05, dev=corpus[:5], patience=1, seed=seed)
+    assert metrics["epochs_run"] == 3 and metrics["best_epoch"] == 2
+    return model.to_checkpoint(metrics=metrics).digest()
+
+
+def _digest_tagger_provider(seed):
+    corpus = toy_ner_corpus(8)
+    chars, config = build_char_vocab([s.tokens for s in corpus]), tiny_bilm_config()
+    provider = tg.ContextualProvider(
+        bilm.init_bilm_params(config, len(chars), 6, seed), config, chars)
+    model, metrics = tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus),
+                                     tiny_tagger_config(dropout=0.2, anchor_coeff=0.0),
+                                     epochs=2, batch_size=4, lr=0.01, seed=seed,
+                                     provider=provider)
+    return model.to_checkpoint(metrics=metrics).digest()
+
+
+# Digests of short anchor-free training runs, recorded before both
+# trainers shared one training step.  Training runs BLAS matmuls, so a
+# BLAS that sums in another order can move these on another host.
+PINNED_TRAINING = [
+    (_digest_train_lm, 0,
+     "27e8269d7ae09d14311f112954c92130bde19de60c177aa49b402e5ba5d51c91"),
+    (_digest_train_lm, 7,
+     "aeda57681dd31ed9400e729d0d26e3add2bf41ca20b760e89aa9a3d7b0ea7efc"),
+    (_digest_tagger_dev, 0,
+     "2e34241f5b106d009c669b153ac62e4b0a720aca9919fa6c3f729b8c7a91006f"),
+    (_digest_tagger_dev, 7,
+     "23e372f5f2a9439f1fc7e4b703bd4d97c35ee6013132e049a55e7f9a26e52590"),
+    (_digest_tagger_provider, 0,
+     "c0699b0ff5cbdcc7322d55592b584a77340d8e9c75bf6b92fe3d09fd62d65a68"),
+    (_digest_tagger_provider, 7,
+     "1630adbb4fde62e82c185d173799b3cbf44f395ec0f2e3d620410d0f8ba98d8b"),
+]
+
+
+@pytest.mark.parametrize("make, seed, digest", PINNED_TRAINING,
+                         ids=[f"{m.__name__[8:]}-seed{s}" for m, s, _ in PINNED_TRAINING])
+def test_pinned_training_digest(make, seed, digest):
     assert make(seed) == digest

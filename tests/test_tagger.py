@@ -387,6 +387,27 @@ class TestTrainTagger:
                                    seed=0, word_vocab=vocab, word_vectors=vecs)
         assert np.array_equal(model.params["tagger.word_emb"].data, vecs)
 
+    def test_anchored_provider_stays_near_init(self):
+        from seqxfer import bilm
+        from seqxfer.corpus import build_char_vocab
+        from conftest import tiny_bilm_config
+        corpus = toy_ner_corpus(8)
+        chars, bcfg = build_char_vocab([s.tokens for s in corpus]), tiny_bilm_config()
+        init = bilm.init_bilm_params(bcfg, len(chars), 6, seed=0)
+
+        def drift(anchor_coeff):
+            provider = tg.ContextualProvider(
+                bilm.params_from_tensors(bilm.tensors_from_params(init)), bcfg, chars)
+            tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus),
+                            tiny_tagger_config(anchor_coeff=anchor_coeff), epochs=3,
+                            batch_size=4, lr=0.05, seed=0, provider=provider)
+            moved = {n: np.abs(p.data - init[n].data).sum()
+                     for n, p in provider.params.items()}
+            assert moved["lm.head.W"] == 0.0    # the provider's head never trains
+            return sum(moved.values())
+
+        assert drift(10.0) < drift(0.0)
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ContractError):
             tg.train_tagger([], tg.LabelSet(["O"]), tiny_tagger_config())

@@ -42,11 +42,6 @@ class TestCharVocab:
         v = xf.build_shared_char_vocab([[["ab"]], [["bc"]]])
         assert v.non_reserved() == ["a", "b", "c"]
 
-    def test_coverage_fraction(self):
-        src = xf.build_shared_char_vocab([[["abc"]]])
-        tgt = xf.build_shared_char_vocab([[["abxy"]]])
-        assert xf.char_coverage(src, tgt) == pytest.approx(0.5)
-
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             xf.build_shared_char_vocab([])
@@ -57,8 +52,8 @@ class TestTransferInit:
         model, cfg, labels = _trained_source()
         src = model.to_checkpoint()
         arch = _tagger_arch(cfg, len(model.word_vocab), labels)
-        policy = xf.TransferPolicy.all_copy(
-            ["word_embedding", "trunk", "emission", "crf"])
+        policy = xf.TransferPolicy({"word_embedding": "copy", "trunk": "copy",
+                                    "emission": "copy", "crf": "copy"})
         tensors, report = xf.transfer_init(src, arch, policy, seed=1)
         for name, arr in tensors.items():
             assert np.array_equal(arr, src.tensors[name]), name
@@ -93,8 +88,8 @@ class TestTransferInit:
         src = model.to_checkpoint()
         big = tiny_tagger_config(hidden=24)
         arch = _tagger_arch(big, len(model.word_vocab), labels)
-        policy = xf.TransferPolicy.all_copy(
-            ["word_embedding", "trunk", "emission", "crf"])
+        policy = xf.TransferPolicy({"word_embedding": "copy", "trunk": "copy",
+                                    "emission": "copy", "crf": "copy"})
         with pytest.raises(TransferError, match="shape mismatch"):
             xf.transfer_init(src, arch, policy, seed=0)
 
