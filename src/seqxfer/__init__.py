@@ -5,8 +5,7 @@ evaluation and corpus overlap analysis)."""
 __version__ = "0.1.0"
 
 from .autodiff import (Adam, Tensor, clip_by_global_norm,
-                       finite_difference_check, logsumexp, reverse_gradients,
-                       seeded_init)
+                       finite_difference_check, reverse_gradients, seeded_init)
 from .checkpoint import Checkpoint
 from .corpus import (EntitySpan, LabeledSequence, Vocabulary, bio_to_spans,
                      build_char_vocab, build_vocab, contiguous_to_bio,
@@ -19,4 +18,4 @@ from .transfer import (TransferPolicy, TransferReport, build_shared_char_vocab,
                        map_label_space, transfer_init)
 from .bilm import (BiLMConfig, bilm_loss, contextual_repr, perplexity,
                    replace_vocab_head, train_lm)
-from .encoder import CharEncoderConfig, encode_word, highway_forward
+from .encoder import CharEncoderConfig, highway_forward

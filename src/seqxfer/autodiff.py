@@ -81,9 +81,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def item(self):
-        return float(self.data)
-
 
 def parameter(name, data):
     """A named trainable leaf."""
@@ -238,21 +235,6 @@ def tmax(x, axis):
     return node(x.data.max(axis=axis), (x,), _bw)
 
 
-def exp(x):
-    x = _as_tensor(x)
-    y = np.exp(x.data)
-    def _bw(g):
-        x._accum(g * y)
-    return node(y, (x,), _bw)
-
-
-def log(x):
-    x = _as_tensor(x)
-    def _bw(g):
-        x._accum(g / x.data)
-    return node(np.log(x.data), (x,), _bw)
-
-
 def tanh(x):
     x = _as_tensor(x)
     y = np.tanh(x.data)
@@ -270,16 +252,6 @@ def sigmoid(x):
     return node(s, (x,), _bw)
 
 
-def logsumexp_t(x, axis):
-    """Max-shifted log-sum-exp along one axis (graph op)."""
-    x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    val = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
-    def _bw(g):
-        x._accum(np.expand_dims(g, axis) * np.exp(x.data - val))
-    return node(np.squeeze(val, axis=axis), (x,), _bw)
-
-
 def log_softmax(x, axis=-1):
     x = _as_tensor(x)
     m = x.data.max(axis=axis, keepdims=True)
@@ -287,20 +259,6 @@ def log_softmax(x, axis=-1):
     def _bw(g):
         x._accum(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
     return node(y, (x,), _bw)
-
-
-# scalar helper ------------------------------------------------------
-
-
-def logsumexp(values):
-    """log sum exp of a flat sequence, max-shifted."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ContractError("logsumexp of an empty sequence")
-    if not np.isfinite(v).all():
-        raise ContractError("logsumexp requires finite inputs")
-    m = float(v.max())
-    return m + math.log(float(np.exp(v - m).sum()))
 
 
 # reverse pass -------------------------------------------------------
@@ -357,16 +315,14 @@ def reverse_gradients(loss, params):
 # initialization -----------------------------------------------------
 
 
-def seeded_init(shape, scheme, seed):
+def seeded_init(shape, seed):
     """Deterministic glorot-uniform init, bound sqrt(6/(fan_in+fan_out)).
 
-    `scheme` must be 'glorot'.  `seed` may be an int or a numpy Generator.
+    `seed` may be an int or a numpy Generator.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0:
         raise ContractError("seeded_init requires a nonempty shape")
-    if scheme != "glorot":
-        raise ContractError(f"unknown init scheme {scheme!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     fan_in = shape[0]
     fan_out = shape[-1] if len(shape) > 1 else shape[0]
@@ -379,7 +335,7 @@ def init_params(table, seed):
     rows, drawn in table order from one generator.  A fill of None is a
     glorot draw; any other fill is a constant broadcast to the shape."""
     rng = np.random.default_rng(seed)
-    return {name: parameter(name, seeded_init(shape, "glorot", rng) if fill is None
+    return {name: parameter(name, seeded_init(shape, rng) if fill is None
                             else np.full(shape, fill, dtype=np.float64))
             for name, shape, fill in table}
 
@@ -387,14 +343,14 @@ def init_params(table, seed):
 # optimizer ----------------------------------------------------------
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 class Adam:
     """Standard Adam with bias correction, applied in place."""
 
-    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {}
         self.v = {}
@@ -410,19 +366,19 @@ class Adam:
                     f"{name!r} shape {p.data.shape}")
             m = self.m.setdefault(name, np.zeros_like(p.data))
             v = self.v.setdefault(name, np.zeros_like(p.data))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def clip_by_global_norm(grads, max_norm):
     """Scale the whole gradient dict so its global L2 norm is <= max_norm."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if max_norm is not None and total > max_norm and total > 0.0:
+    if total > max_norm and total > 0.0:
         scale = max_norm / total
         grads = {k: g * scale for k, g in grads.items()}
     return grads, total

@@ -308,7 +308,7 @@ def anchor_penalty(params, anchors, coeff):
     return ad.node(total * coeff, tensors, _bw)
 
 
-def training_step(params, lm_params, anchor_coeff, clip_norm, lr, beta1, beta2, eps):
+def training_step(params, lm_params, anchor_coeff, clip_norm, lr):
     """The Adam step of both trainers, as `step(loss)`: with anchor_coeff
     > 0 it adds the pull of the non-head `lm_params` toward their values
     now, then updates `params` in place from their clipped gradients."""
@@ -316,7 +316,7 @@ def training_step(params, lm_params, anchor_coeff, clip_norm, lr, beta1, beta2, 
     if anchor_coeff > 0.0:
         anchors = {name: p.data.copy() for name, p in lm_params.items()
                    if name not in HEAD_PARAMS}
-    opt = Adam(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    opt = Adam(lr=lr)
 
     def step(loss):
         if anchors:
@@ -328,8 +328,8 @@ def training_step(params, lm_params, anchor_coeff, clip_norm, lr, beta1, beta2, 
 
 
 def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
-             batch_size=32, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,
-             clip_norm=5.0, seed=0, init=None, anchor_coeff=0.0, log_fn=None):
+             batch_size=32, lr=0.001, clip_norm=5.0, seed=0, init=None,
+             anchor_coeff=0.0, log_fn=None):
     """Adam training of the BiLM; returns a checkpoint with per-epoch loss.
 
     With `init` (a bilm Checkpoint) this resumes/fine-tunes: vocabularies
@@ -356,7 +356,7 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
         params = init_bilm_params(config, len(char_vocab), len(vocab), seed)
         provenance = [{"event": "pretrain", "epochs": epochs, "seed": seed}]
 
-    step = training_step(params, params, anchor_coeff, clip_norm, lr, beta1, beta2, eps)
+    step = training_step(params, params, anchor_coeff, clip_norm, lr)
     epoch_losses = []
     for epoch in range(epochs):
         batches = lm_batches(corpus, vocab, char_vocab, batch_size,

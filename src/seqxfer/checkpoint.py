@@ -134,11 +134,10 @@ class Checkpoint:
         ck.source = os.fspath(path)
         return ck
 
-    def digest(self, ignore_timestamp=True):
-        """Content hash; manifest timestamp excluded by default."""
+    def digest(self):
+        """Content hash, manifest timestamp excluded."""
         doc = dict(self.manifest)
-        if ignore_timestamp:
-            doc.pop("created_at", None)
+        doc.pop("created_at", None)
         h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
         if self.word_vocab:
             h.update(json.dumps(self.word_vocab.to_dict()).encode("utf-8"))
@@ -175,7 +174,3 @@ def _read_manifest(fh, path):
                 and all(type(n) is int and n >= 0 for n in entry["shape"])):
             raise DataError(f"{path}: malformed tensor_index entry {entry!r:.80}")
     return doc
-
-
-def tensor_checksum(arr):
-    return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()

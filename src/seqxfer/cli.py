@@ -31,9 +31,6 @@ class RunConfig:
     dropout: float = 0.5
     anchor_l2: float = 0.001
     clip_norm: float = 5.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     d_word: int = 50
     hidden: int = 200
     layers: int = 2
@@ -45,7 +42,6 @@ class RunConfig:
     filter_counts: str = "8,8,16,16"
     max_word_len: int = 16
     min_count: int = 1
-    head: str = "crf"
     unk_rate: float = 0.1
     freeze_word_emb: int = 0
 
@@ -58,12 +54,12 @@ class RunConfig:
         return _checked(bilm_mod.BiLMConfig.from_dict, {
             "encoder": encoder, "lm_hidden": self.lm_hidden, "lm_layers": self.lm_layers})
 
-    def tagger_config(self, head=None, anchor=0.0):
+    def tagger_config(self, head="crf", anchor=0.0):
         for key in ("d_word", "hidden", "layers"):
             _checked(size, getattr(self, key), key)
         return tagger_mod.TaggerConfig(
             d_word=self.d_word, hidden=self.hidden, layers=self.layers,
-            dropout=self.dropout, head=head or self.head,
+            dropout=self.dropout, head=head,
             freeze_word_emb=bool(self.freeze_word_emb),
             unk_rate=self.unk_rate, anchor_coeff=anchor)
 
@@ -119,6 +115,16 @@ def load_config(path=None, overrides=None):
         if value is not None:
             apply(key, value, "command line")
     return cfg
+
+
+def _check_out(path):
+    """DataError unless `path` can name a new file: it is no directory, and
+    its parent directory exists."""
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"{path}: --out is a directory")
+    if not path.parent.is_dir():
+        raise DataError(f"{path}: no directory {path.parent} to write into")
 
 
 def _emit(line):
@@ -187,8 +193,8 @@ def cmd_pretrain_lm(args, cfg):
     epochs = args.epochs or cfg.lm_epochs
     ck = bilm_mod.train_lm(
         train, vocab, char_vocab, cfg.bilm_config(), epochs,
-        batch_size=cfg.batch_size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-        eps=cfg.eps, clip_norm=cfg.clip_norm, seed=cfg.seed, log_fn=_emit)
+        batch_size=cfg.batch_size, lr=cfg.lr, clip_norm=cfg.clip_norm,
+        seed=cfg.seed, log_fn=_emit)
     ck.save(args.out)
     _emit(f"checkpoint {args.out}")
     return 0
@@ -202,9 +208,8 @@ def cmd_finetune_lm(args, cfg):
     epochs = args.epochs or cfg.finetune_epochs
     ck = bilm_mod.train_lm(
         target, epochs=epochs, init=surgered,
-        batch_size=cfg.batch_size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-        eps=cfg.eps, clip_norm=cfg.clip_norm, seed=cfg.seed,
-        anchor_coeff=cfg.anchor_l2, log_fn=_emit)
+        batch_size=cfg.batch_size, lr=cfg.lr, clip_norm=cfg.clip_norm,
+        seed=cfg.seed, anchor_coeff=cfg.anchor_l2, log_fn=_emit)
     ck.save(args.out)
     _emit(f"checkpoint {args.out}")
     return 0
@@ -241,8 +246,7 @@ def _train_tagger_common(args, cfg, head):
         train, labels, tcfg, epochs=args.epochs or cfg.epochs, lr=cfg.lr,
         batch_size=cfg.batch_size, dev=dev, patience=patience, seed=cfg.seed,
         init_tensors=init_tensors, provider=provider, word_vocab=word_vocab,
-        word_vectors=vectors, clip_norm=cfg.clip_norm, beta1=cfg.beta1,
-        beta2=cfg.beta2, eps=cfg.eps, log_fn=_emit)
+        word_vectors=vectors, clip_norm=cfg.clip_norm, log_fn=_emit)
     provenance = [{"event": "train", "command": "train-ner" if bio else "train-pos",
                    "seed": cfg.seed, "init": args.init or None}]
     ck = model.to_checkpoint(provenance=provenance, metrics=metrics)
@@ -272,7 +276,7 @@ def cmd_train_pos(args, cfg):
 def cmd_transfer_init(args, cfg):
     src = Checkpoint.load(args.init)
     train = corpus_mod.read_conll(args.train)
-    head = args.head or cfg.head
+    head = args.head or "crf"
     labels = tagger_mod.LabelSet.from_sequences(train, bio=(head == "crf"))
     word_vocab = corpus_mod.build_vocab([s.tokens for s in train],
                                         min_count=cfg.min_count)
@@ -366,11 +370,11 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    overrides = {"seed": args.seed, "epochs": args.epochs,
-                 "patience": args.patience, "head": args.head}
+    overrides = {"seed": args.seed, "epochs": args.epochs, "patience": args.patience}
     try:
-        cfg = load_config(args.config, {k: v for k, v in overrides.items()
-                                        if v is not None})
+        if args.out:
+            _check_out(args.out)
+        cfg = load_config(args.config, overrides)
         return COMMANDS[args.command][0](args, cfg)
     except (DataError, ContractError, TransferError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

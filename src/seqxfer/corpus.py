@@ -277,7 +277,7 @@ def load_word_vectors(source, vocab, dim, seed=0):
     Vocab words absent from the file get seeded glorot rows; returns
     (matrix, fraction of non-reserved vocab words found).
     """
-    matrix = seeded_init((len(vocab), dim), "glorot", seed)
+    matrix = seeded_init((len(vocab), dim), seed)
     matrix[PAD] = 0.0
     found = set()
     for lineno, raw in enumerate(read_lines(source), start=1):

@@ -102,8 +102,6 @@ def encode_char_matrix(ids, params, config):
     trailing padding can never change the output.
     """
     ids = np.asarray(ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     U, L = ids.shape
     d = config.d_char
     emb = ad.getitem(params["char_enc.emb"], ids.reshape(-1))
@@ -133,8 +131,3 @@ def encode_char_matrix(ids, params, config):
             params[f"char_enc.hw{layer}.WT"], params[f"char_enc.hw{layer}.bT"],
             params[f"char_enc.hw{layer}.WH"], params[f"char_enc.hw{layer}.bH"])
     return ad.matmul(x, params["char_enc.proj.W"]) + params["char_enc.proj.b"]
-
-
-def encode_word(chars, params, config):
-    """Single padded CharSequence -> plain d_out vector."""
-    return encode_char_matrix(np.asarray(chars)[None, :], params, config).data[0]

@@ -134,7 +134,7 @@ def one_hot(tags, mask, m):
 
 
 def _lse(x, axis):
-    """Max-shifted log-sum-exp along one axis, as `ad.logsumexp_t` computes it."""
+    """Max-shifted log-sum-exp along one axis."""
     top = x.max(axis=axis, keepdims=True)
     return np.squeeze(top + np.log(np.exp(x - top).sum(axis=axis, keepdims=True)), axis)
 
@@ -270,7 +270,11 @@ class TaggerConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        """A ValueError names a head other than crf or softmax."""
+        config = cls(**d)
+        if config.head not in ("crf", "softmax"):
+            raise ValueError(f"head is {config.head!r}, not 'crf' or 'softmax'")
+        return config
 
 
 @dataclass
@@ -337,8 +341,8 @@ def read_tagger_head(ck):
     `Checkpoint.read_architecture`, so a malformed one is a DataError."""
     if ck.architecture["kind"] != "tagger":
         raise TransferError(f"{ck.source} is not a tagger checkpoint")
-    return ck.read_architecture(
-        lambda arch: (arch["config"]["head"], architecture_labels(arch)))
+    return ck.read_architecture(lambda arch: (
+        TaggerConfig.from_dict(arch["config"]).head, architecture_labels(arch)))
 
 
 class TaggerModel:
@@ -533,8 +537,7 @@ def _dev_score(model, dev):
 def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
                  dev=None, patience=None, seed=0, init_tensors=None,
                  provider=None, word_vocab=None, word_vectors=None,
-                 clip_norm=5.0, beta1=0.9, beta2=0.999, eps=1e-8,
-                 stop_at_train_f1=None, log_fn=None):
+                 clip_norm=5.0, log_fn=None):
     """Train a tagger; returns (model, metrics dict).
 
     With a dev set, tracks the best dev score and stops once `patience`
@@ -570,7 +573,7 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
 
     trainable = model.trainable_params()
     step = bilm_mod.training_step(trainable, provider.params if provider else {},
-                                  config.anchor_coeff, clip_norm, lr, beta1, beta2, eps)
+                                  config.anchor_coeff, clip_norm, lr)
     train_losses, dev_scores = [], []
     best_score, best_epoch, best_state = -1.0, -1, None
 
@@ -600,10 +603,6 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
                 best_state = None if epoch == epochs - 1 else \
                     {n: p.data.copy() for n, p in trainable.items()}
             if patience is not None and epoch - best_epoch >= patience:
-                break
-        if stop_at_train_f1 is not None:
-            from .evaluation import span_f1
-            if span_f1(train, predict(train, model)).micro_f1 >= stop_at_train_f1:
                 break
 
     if best_state is not None:

@@ -3,36 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from seqxfer import autodiff as ad
 from seqxfer import bilm
 from seqxfer import tagger as tg
 from seqxfer.errors import ContractError, NumericError
-
-
-class TestLogsumexp:
-    def test_two_zeros(self):
-        assert ad.logsumexp([0.0, 0.0]) == pytest.approx(math.log(2), rel=1e-12)
-
-    def test_single_element_identity(self):
-        assert ad.logsumexp([5.0]) == 5.0
-
-    def test_max_shift_avoids_overflow(self):
-        assert ad.logsumexp([1000.0, 1000.0]) == pytest.approx(
-            1000.0 + math.log(2), rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            ad.logsumexp([])
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=20))
-    @settings(max_examples=200, deadline=None)
-    def test_bounds(self, values):
-        out = ad.logsumexp(values)
-        assert out >= max(values) - 1e-12
-        assert out <= max(values) + math.log(len(values)) + 1e-12
 
 
 class TestReverseGradients:
@@ -59,22 +34,30 @@ class TestReverseGradients:
 
     def test_non_finite_gradient_names_parameter(self):
         p = ad.parameter("bad_param", np.array([0.0]))
-        loss = ad.log(p).sum()  # -inf loss gradient at 0
-        with pytest.raises((NumericError, ContractError)) as exc:
+        loss = ((p * 1e308) * 1e308).sum()  # 0 at p = 0; the gradient overflows
+        assert float(loss.data) == 0.0
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="'bad_param'"):
             ad.reverse_gradients(loss, {"bad_param": p})
-        assert "bad_param" in str(exc.value) or "finite" in str(exc.value)
+
+    def test_non_finite_loss_rejected(self):
+        p = ad.parameter("p", np.array([1.0]))
+        with np.errstate(over="ignore"):
+            loss = ((p * 1e308) * 1e308).sum()
+        with pytest.raises(NumericError, match="loss is not finite"):
+            ad.reverse_gradients(loss, {"p": p})
 
     def test_composite_graph_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        W1 = ad.parameter("W1", ad.seeded_init((4, 5), "glorot", 1))
-        W2 = ad.parameter("W2", ad.seeded_init((5, 3), "glorot", 2))
+        W1 = ad.parameter("W1", ad.seeded_init((4, 5), 1))
+        W2 = ad.parameter("W2", ad.seeded_init((5, 3), 2))
         b = ad.parameter("b", rng.normal(size=3))
         x = ad.constant(rng.normal(size=(6, 4)))
 
         def loss_fn():
             h = ad.tanh(ad.matmul(x, W1))
             h = ad.sigmoid(ad.matmul(h, W2) + b)
-            return (h * h).sum() + ad.logsumexp_t(h.reshape((-1,)), axis=0)
+            return (h * h).sum()
 
         err = ad.finite_difference_check(loss_fn, {"W1": W1, "W2": W2, "b": b})
         assert err < 1e-4
@@ -136,11 +119,8 @@ GRAPH_OPS = {
     "concat": lambda: ad.concat([_p(2, 2), _p(2, 3)], axis=1),
     "tsum": lambda: ad.tsum(_p(2, 3), axis=0),
     "tmax": lambda: ad.tmax(_p(2, 3), axis=1),
-    "exp": lambda: ad.exp(_p(2, 3)),
-    "log": lambda: ad.log(_p(2, 3)),
     "tanh": lambda: ad.tanh(_p(2, 3)),
     "sigmoid": lambda: ad.sigmoid(_p(2, 3)),
-    "logsumexp_t": lambda: ad.logsumexp_t(_p(2, 3), axis=0),
     "log_softmax": lambda: ad.log_softmax(_p(2, 3), axis=-1),
     "lstm_forward": lambda: bilm.lstm_forward(_p(2, 4, 3), np.ones((2, 4)),
                                               _p(3, 8), _p(2, 8), _p(8)),
@@ -199,12 +179,12 @@ class TestAdam:
 
 class TestSeededInit:
     def test_same_seed_bit_identical(self):
-        a = ad.seeded_init((5, 7), "glorot", 42)
-        b = ad.seeded_init((5, 7), "glorot", 42)
+        a = ad.seeded_init((5, 7), 42)
+        b = ad.seeded_init((5, 7), 42)
         assert np.array_equal(a, b)
 
     def test_glorot_bound(self):
-        t = ad.seeded_init((100, 100), "glorot", 3)
+        t = ad.seeded_init((100, 100), 3)
         bound = math.sqrt(6.0 / 200.0)
         assert np.abs(t).max() <= bound
 

@@ -1,7 +1,9 @@
 """The benchmark's tracer (bench/tracing.py) wraps seqxfer functions by
-owner and attribute name, and replays the CRF layer with two arguments.
-A rename, or a call that goes round a wrapped attribute, fails here
-instead of inside a benchmark run.  bench/ is only read."""
+owner and attribute name, and replays the CRF layer with two arguments;
+its workloads (bench/workloads.py) import seqxfer names and call its API
+in set-up and checks.  A rename, a removed name or argument form, or a
+call that goes round a wrapped attribute, fails here instead of inside a
+benchmark run.  bench/ is only read."""
 
 import importlib.util
 from collections import Counter
@@ -10,21 +12,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqxfer import bilm
+from seqxfer import bilm, cli
 from seqxfer import tagger as tg
 from seqxfer.corpus import build_char_vocab, build_vocab
+from seqxfer.transfer import build_shared_char_vocab
 
 from conftest import tiny_bilm_config, tiny_tagger_config, toy_ner_corpus
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _bench_module("workloads")
 
 
 def test_every_target_is_an_attribute_of_its_owner(tracing):
@@ -87,3 +99,22 @@ def test_lm_training_runs_through_the_wrappers(tracing):
         == spans["autodiff.adam_step"] == 4
     summary = tracer.round_summary()
     assert 0.0 < summary["coverage"]["finetune"] <= 1.0
+
+
+def test_workload_setup_and_checks_call_the_api_as_they_do(workloads, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # set-up writes the config files and builds, saves and reloads a model
+    inputs, model = workloads.setup(workloads.WORKLOADS["xfer_ner"], 0)
+    assert isinstance(cli.load_config("lm.cfg").bilm_config(), bilm.BiLMConfig)
+    assert cli.load_config("ner.cfg").tagger_config().head == "crf"
+    chars = build_shared_char_vocab([inputs.lm_a, inputs.lm_b])
+    assert all(c in chars for sent in inputs.lm_b for word in sent for c in word)
+    # the Viterbi check: [T, m] emissions of a token list, a tuple path
+    trans, m = model.transitions_used().data, len(model.labels)
+    tokens = inputs.tag_set[0].tokens[:3]
+    em = model.emissions(tokens).data
+    assert em.shape == (3, m)
+    assert isinstance(tg.crf_sequence_score(em, trans, (0, 1, 0)), float)
+    path = tg.viterbi_decode(em, trans)
+    assert isinstance(path, list) and len(path) == 3

@@ -125,8 +125,8 @@ class TestFusedLSTMOracle:
         mask[2, 3] = 1.0    # state carried over padding into a real step
         params = {
             "xs": ad.parameter("xs", rng.normal(size=(B, T, D))),
-            "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), "glorot", 1)),
-            "Wh": ad.parameter("Wh", ad.seeded_init((H, 4 * H), "glorot", 2)),
+            "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), 1)),
+            "Wh": ad.parameter("Wh", ad.seeded_init((H, 4 * H), 2)),
             "b": ad.parameter("b", rng.normal(size=4 * H) * 0.3),
         }
         cotangent = rng.normal(size=(B, T, H))
@@ -175,8 +175,8 @@ class TestLSTM:
         xs = ad.constant(rng.normal(size=(2, 3, D)))
         mask = np.ones((2, 3))
         params = {
-            "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), "glorot", 1)),
-            "Wh": ad.parameter("Wh", ad.seeded_init((H, 4 * H), "glorot", 2)),
+            "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), 1)),
+            "Wh": ad.parameter("Wh", ad.seeded_init((H, 4 * H), 2)),
             "b": ad.parameter("b", np.zeros(4 * H)),
         }
 

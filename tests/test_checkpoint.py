@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqxfer import checkpoint as checkpoint_mod
-from seqxfer.checkpoint import MAGIC, Checkpoint, tensor_checksum
+from seqxfer.checkpoint import MAGIC, Checkpoint
 from seqxfer.corpus import build_char_vocab, build_vocab
 from seqxfer.errors import DataError
 
@@ -205,20 +205,12 @@ class TestDigest:
         other = _sample()
         other.manifest["created_at"] = "1999-01-01T00:00:00Z"
         assert ck.digest() == other.digest()
-        assert ck.digest(ignore_timestamp=False) != \
-            other.digest(ignore_timestamp=False) or \
-            ck.manifest["created_at"] == other.manifest["created_at"]
 
     def test_sensitive_to_tensor_bits(self):
         ck, other = _sample(), _sample()
         other.tensors["a.bias"] = other.tensors["a.bias"].copy()
         other.tensors["a.bias"][0] = np.nextafter(other.tensors["a.bias"][0], 1e9)
         assert ck.digest() != other.digest()
-
-    def test_tensor_checksum_matches_equal_arrays(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert tensor_checksum(a) == tensor_checksum(a.copy())
-        assert tensor_checksum(a) != tensor_checksum(a + 1e-16 + 1)
 
 
 @pytest.fixture(scope="module")

@@ -331,6 +331,7 @@ class TestTaggerCheckpointArchitecture:
         "no-config": lambda arch: arch.pop("config"),
         "no-labels": lambda arch: arch.pop("labels"),
         "labels-not-a-list": lambda arch: arch.update(labels="X PROPN"),
+        "unknown-head": lambda arch: arch["config"].update(head="xyz"),
     }
 
     @pytest.mark.parametrize("command", ["train-ner", "transfer-init"])
@@ -345,6 +346,15 @@ class TestTaggerCheckpointArchitecture:
                      "--out", ws / "out.ckpt"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {ws / 'bad.ckpt'}: ")
         assert not (ws / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "head"])
+def test_removed_config_key_is_unknown(ws, capsys, key):
+    (ws / "old.cfg").write_text(TINY_CFG + f"{key}=1\n")
+    assert _run(["train-ner", "--config", ws / "old.cfg", "--train", ws / "train.conll",
+                 "--epochs", 1, "--out", ws / "out.ckpt"]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (ws / "out.ckpt").exists()
 
 
 @pytest.mark.parametrize("kind", ["conll", "corpus", "config", "policy"])
@@ -379,11 +389,17 @@ class TestDirectoryPaths:
         assert _run(["evaluate", "--gold", ws, "--pred", ws / "test.conll"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_out_directory_is_1_and_leaves_no_tmp(self, ws, capsys):
+    @pytest.mark.parametrize("command", ["pretrain-lm", "train-ner"])
+    @pytest.mark.parametrize("out", ["taken", "no_such_dir/out.ckpt"])
+    def test_out_directory_is_1_and_leaves_no_tmp(self, ws, capsys, command, out):
         (ws / "taken").mkdir()
-        assert _run(["pretrain-lm", "--config", ws / "tiny.cfg", "--corpus",
-                     ws / "lm.txt", "--epochs", 1, "--out", ws / "taken"]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        data = {"pretrain-lm": ["--corpus", ws / "lm.txt"],
+                "train-ner": ["--train", ws / "train.conll"]}[command]
+        assert _run([command, "--config", ws / "tiny.cfg", *data, "--epochs", 2,
+                     "--out", ws / out]) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith(f"error: {ws / out}: ")
+        assert "epoch=" not in stdout  # refused before any training
         assert list((ws / "taken").iterdir()) == []
         assert not list(ws.glob("*.tmp"))
 

@@ -22,7 +22,7 @@ class TestHighway:
         d = 4
         x = np.array([[0.5, -1.0, 2.0, 0.0]])
         WT = np.zeros((d, d))
-        WH = ad.seeded_init((d, d), "glorot", 1)
+        WH = ad.seeded_init((d, d), 1)
         out = enc.highway_forward(x, WT, np.full(d, 100.0), WH, np.zeros(d))
         assert np.allclose(out.data, x @ WH, atol=1e-12)
 
@@ -30,7 +30,7 @@ class TestHighway:
         d = 4
         x = np.array([[0.5, -1.0, 2.0, 0.0]])
         WT = np.zeros((d, d))
-        WH = ad.seeded_init((d, d), "glorot", 1)
+        WH = ad.seeded_init((d, d), 1)
         out = enc.highway_forward(x, WT, np.full(d, -100.0), WH, np.zeros(d))
         assert np.allclose(out.data, x, atol=1e-12)
 
@@ -43,9 +43,9 @@ class TestHighway:
         d = 5
         x = ad.constant(np.random.default_rng(0).normal(size=(3, d)))
         params = {
-            "WT": ad.parameter("WT", ad.seeded_init((d, d), "glorot", 1)),
+            "WT": ad.parameter("WT", ad.seeded_init((d, d), 1)),
             "bT": ad.parameter("bT", np.full(d, -1.0)),
-            "WH": ad.parameter("WH", ad.seeded_init((d, d), "glorot", 2)),
+            "WH": ad.parameter("WH", ad.seeded_init((d, d), 2)),
             "bH": ad.parameter("bH", np.zeros(d)),
         }
 
@@ -57,34 +57,39 @@ class TestHighway:
         assert ad.finite_difference_check(loss_fn, params) < 1e-4
 
 
+def _encode_one(row, params, config):
+    """One padded char-id row encoded as a batch of one."""
+    return enc.encode_char_matrix(np.asarray([row]), params, config).data[0]
+
+
 class TestEncodeWord:
     def test_padding_invariance(self):
         config, cvocab, params = _setup()
         short = char_id_row("beta", cvocab, config.max_word_len)
         longer = char_id_row("beta", cvocab, config.max_word_len + 6)
         big = tiny_encoder_config(max_word_len=config.max_word_len + 6)
-        v1 = enc.encode_word(short, params, config)
-        v2 = enc.encode_word(longer, params, big)
+        v1 = _encode_one(short, params, config)
+        v2 = _encode_one(longer, params, big)
         assert np.allclose(v1, v2, atol=1e-12)
 
     def test_deterministic_across_calls(self):
         config, cvocab, params = _setup()
         ids = char_id_row("gamma", cvocab, config.max_word_len)
-        assert np.array_equal(enc.encode_word(ids, params, config),
-                              enc.encode_word(ids, params, config))
+        assert np.array_equal(_encode_one(ids, params, config),
+                              _encode_one(ids, params, config))
 
     def test_different_words_differ(self):
         config, cvocab, params = _setup()
-        a = enc.encode_word(char_id_row("alpha", cvocab, config.max_word_len),
-                            params, config)
-        b = enc.encode_word(char_id_row("beta", cvocab, config.max_word_len),
-                            params, config)
+        a = _encode_one(char_id_row("alpha", cvocab, config.max_word_len),
+                        params, config)
+        b = _encode_one(char_id_row("beta", cvocab, config.max_word_len),
+                        params, config)
         assert not np.allclose(a, b)
 
     def test_output_shape(self):
         config, cvocab, params = _setup()
         ids = char_id_row("x", cvocab, config.max_word_len)
-        assert enc.encode_word(ids, params, config).shape == (config.d_out,)
+        assert _encode_one(ids, params, config).shape == (config.d_out,)
 
     def test_batch_matches_single(self):
         config, cvocab, params = _setup()
@@ -92,7 +97,7 @@ class TestEncodeWord:
                          for w in ("alpha", "x", "gamma")])
         batch = enc.encode_char_matrix(rows, params, config).data
         for i, w in enumerate(("alpha", "x", "gamma")):
-            single = enc.encode_word(rows[i], params, config)
+            single = _encode_one(rows[i], params, config)
             assert np.allclose(batch[i], single, atol=1e-12)
 
     def test_seeded_init_reproducible(self):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import re
@@ -7,6 +8,7 @@ import pytest
 
 from seqxfer import autodiff as ad
 from seqxfer import tagger as tg
+from seqxfer.checkpoint import Checkpoint
 from seqxfer.corpus import LabeledSequence, build_vocab
 from seqxfer.errors import ContractError, DataError
 
@@ -41,6 +43,17 @@ def brute_force_decode(emissions, transitions):
     return best_path
 
 
+def logsumexp_t(x, axis):
+    """Max-shifted log-sum-exp along one axis, as a graph node; the step
+    of the unfused forward recursion below."""
+    x = ad._as_tensor(x)
+    top = x.data.max(axis=axis, keepdims=True)
+    val = top + np.log(np.exp(x.data - top).sum(axis=axis, keepdims=True))
+    def _bw(g):
+        x._accum(np.expand_dims(g, axis) * np.exp(x.data - val))
+    return ad.node(np.squeeze(val, axis=axis), (x,), _bw)
+
+
 def reference_crf_log_partition(emissions, transitions):
     """The unfused forward recursion of one [T, m] sentence, one small graph
     per step; the oracle of the fused `crf_log_partition`."""
@@ -50,8 +63,8 @@ def reference_crf_log_partition(emissions, transitions):
     alpha = tr[start, :m] + e[0]
     for t in range(1, T):
         scores = ad.reshape(alpha, (m, 1)) + tr[:m, :m] + e[t]
-        alpha = ad.logsumexp_t(scores, axis=0)
-    return ad.logsumexp_t(alpha + tr[:m, stop], axis=0)
+        alpha = logsumexp_t(scores, axis=0)
+    return logsumexp_t(alpha + tr[:m, stop], axis=0)
 
 
 def prefix_mask(lengths, T=None):
@@ -63,6 +76,30 @@ def random_instance(rng, T=None, m=None):
     T = T or int(rng.integers(1, 6))
     m = m or int(rng.integers(2, 5))
     return rng.normal(size=(T, m)), rng.normal(size=(m + 2, m + 2))
+
+
+class TestLogsumexpOracle:
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        x = ad.parameter("x", rng.normal(size=(3, 4)))
+        for axis in (0, 1):
+            cot = rng.normal(size=x.data.shape[1 - axis])
+
+            def loss_fn():
+                return (logsumexp_t(x * 3.0, axis=axis) * cot).sum()
+            assert ad.finite_difference_check(loss_fn, {"x": x}) < 1e-6
+
+    def test_dropped_output_leaves_no_cycle(self):
+        x = ad.parameter("x", np.random.default_rng(0).uniform(0.5, 1.5, size=(2, 3)))
+        gc.collect()
+        gc.disable()
+        try:
+            out = logsumexp_t(x, axis=0)
+            assert out.requires_grad and out._backward is not None
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCRFPrimitives:
@@ -316,6 +353,19 @@ class TestTaggerModel:
         for sent in corpus:
             assert model.decode(sent.tokens) == again.decode(sent.tokens)
 
+    def test_unknown_head_in_saved_checkpoint_is_named(self, tmp_path):
+        corpus = toy_ner_corpus(4)
+        model = tg.TaggerModel.init(tiny_tagger_config(),
+                                    build_vocab([s.tokens for s in corpus]),
+                                    tg.LabelSet.from_sequences(corpus), 0)
+        model.to_checkpoint().save(tmp_path / "m.ckpt")
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        assert blob.count(b'"head": "crf"') == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob.replace(b'"head": "crf"', b'"head": "xyz"'))
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: .*'xyz'"):
+            tg.TaggerModel.from_checkpoint(Checkpoint.load(bad))
+
     @pytest.mark.parametrize("name, value, message", [
         ("tagger.l0.bwd.Wh", None, "no tensor 'tagger.l0.bwd.Wh'"),
         ("tagger.crf.trans", np.zeros((3, 3)), "'tagger.crf.trans' has shape (3, 3)"),
@@ -382,7 +432,7 @@ class TestTrainTagger:
         labels = tg.LabelSet.from_sequences(corpus)
         cfg = tiny_tagger_config(freeze_word_emb=True)
         vocab = build_vocab([s.tokens for s in corpus])
-        vecs = ad.seeded_init((len(vocab), cfg.d_word), "glorot", 9)
+        vecs = ad.seeded_init((len(vocab), cfg.d_word), 9)
         model, _ = tg.train_tagger(corpus, labels, cfg, epochs=2, batch_size=4,
                                    seed=0, word_vocab=vocab, word_vectors=vecs)
         assert np.array_equal(model.params["tagger.word_emb"].data, vecs)
