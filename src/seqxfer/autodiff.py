@@ -175,15 +175,6 @@ def matmul(x, w):
     return node(x.data @ w.data, (x, w), _bw)
 
 
-def transpose(x):
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ContractError("transpose expects a 2-d tensor")
-    def _bw(g):
-        x._accum(g.T)
-    return node(x.data.T, (x,), _bw)
-
-
 def reshape(x, shape):
     x = _as_tensor(x)
     def _bw(g):

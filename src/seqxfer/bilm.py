@@ -222,13 +222,33 @@ def run_direction(x, mask, params, config, direction):
 
 
 def _nll_sum(states, targets, mask, params):
-    B, T, d = states.data.shape
-    V = params["lm.head.W"].data.shape[0]
-    logits = ad.matmul(states, ad.transpose(params["lm.head.W"])) + params["lm.head.b"]
-    logp = ad.log_softmax(logits, axis=-1)
-    flat = ad.reshape(logp, (B * T, V))
-    picked = flat[(np.arange(B * T), targets.reshape(-1))]
-    return -(picked * mask.reshape(-1)).sum()
+    """Summed NLL of the real positions' targets under the softmax head, as
+    one graph node.  Only rows where mask == 1 reach the [N, V] matmul, so
+    padded targets are never read; the backward is softmax - one_hot."""
+    W, b = params["lm.head.W"], params["lm.head.b"]
+    real = mask.reshape(-1) == 1.0
+    h = states.data.reshape(-1, states.data.shape[-1])[real]
+    t = targets.reshape(-1)[real]
+    rows = np.arange(len(t))
+    z = h @ W.data.T
+    z += b.data
+    z -= z.max(axis=1, keepdims=True)
+    picked = z[rows, t]
+    e = np.exp(z, out=z)
+    sums = e.sum(axis=1)
+
+    def _bw(g):
+        dz = e * (g / sums)[:, None]
+        dz[rows, t] -= g
+        if states.requires_grad:
+            ds = np.zeros((real.size, h.shape[1]))
+            ds[real] = dz @ W.data
+            states._accum(ds.reshape(states.data.shape))
+        if W.requires_grad:
+            W._accum(dz.T @ h)
+        if b.requires_grad:
+            b._accum(dz.sum(axis=0))
+    return ad.node(-(picked - np.log(sums)).sum(), (states, W, b), _bw)
 
 
 def bilm_loss_parts(batch, params, config):

@@ -7,6 +7,7 @@ transfer-init, evaluate, analyze, convert-bio.  Exit codes: 0 success,
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -98,17 +99,35 @@ def _assignments(path, expected):
         yield where, key.strip(), value.strip()
 
 
+# key -> (test, what it asks of a value), checked before any work
+RANGES = {
+    **dict.fromkeys(("seed", "patience"), (lambda v: v >= 0, ">= 0")),
+    "freeze_word_emb": (lambda v: v in (0, 1), "0 or 1"),
+    **dict.fromkeys(("epochs", "lm_epochs", "finetune_epochs", "batch_size",
+                     "min_count"), (lambda v: v >= 1, ">= 1")),
+    **dict.fromkeys(("lr", "clip_norm"),
+                    (lambda v: math.isfinite(v) and v > 0, "finite and > 0")),
+    "anchor_l2": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    **dict.fromkeys(("dropout", "unk_rate"), (lambda v: 0 <= v < 1, "in [0, 1)")),
+}
+
+
 def load_config(path=None, overrides=None):
-    """Line-oriented key=value file, then CLI-flag overrides."""
+    """Line-oriented key=value file, then CLI-flag overrides; a value
+    outside its RANGES entry is a DataError naming where it was set."""
     cfg = RunConfig()
     types = {f.name: f.type for f in fields(RunConfig)}
     def apply(key, value, where):
         if key not in types:
             raise DataError(f"{where}: unknown config key {key!r}")
         try:
-            setattr(cfg, key, types[key](value))
+            value = types[key](value)
         except ValueError as exc:
             raise DataError(f"{where}: bad value for {key!r}: {exc}") from exc
+        test, text = RANGES.get(key, (None, None))
+        if test and not test(value):
+            raise DataError(f"{where}: {key} is {value!r}, not {text}")
+        setattr(cfg, key, value)
     for where, key, value in _assignments(path, "key=value") if path else ():
         apply(key, value, where)
     for key, value in (overrides or {}).items():
@@ -235,7 +254,6 @@ def _train_tagger_common(args, cfg, head):
             _, init_tensors, report = _transfer_tagger(args, cfg, src, head,
                                                        word_vocab, labels)
     tcfg = cfg.tagger_config(head=head, anchor=anchor)
-    _checked(size, cfg.batch_size, "batch_size")
     vectors = None
     if args.vectors:
         vectors, coverage = corpus_mod.load_word_vectors(

@@ -107,13 +107,12 @@ def _p(*shape):
     return ad.parameter("p", np.random.default_rng(0).uniform(0.5, 1.5, size=shape))
 
 
-# every primitive op and the fused LSTM, CRF and anchor-penalty ops, on
-# inputs that require grad
+# every primitive op and the fused LSTM, CRF, anchor-penalty and LM-head
+# ops, on inputs that require grad
 GRAPH_OPS = {
     "add": lambda: ad.add(_p(2, 3), _p(3)),
     "mul": lambda: ad.mul(_p(2, 3), _p(2, 3)),
     "matmul": lambda: ad.matmul(_p(2, 3), _p(3, 4)),
-    "transpose": lambda: ad.transpose(_p(2, 3)),
     "reshape": lambda: ad.reshape(_p(2, 3), (3, 2)),
     "getitem": lambda: ad.getitem(_p(4, 2), np.array([1, 1, 3])),
     "concat": lambda: ad.concat([_p(2, 2), _p(2, 3)], axis=1),
@@ -126,6 +125,9 @@ GRAPH_OPS = {
                                               _p(3, 8), _p(2, 8), _p(8)),
     "crf_log_partition": lambda: tg.crf_log_partition(
         _p(2, 4, 3), _p(5, 5), np.array([[1, 1, 1, 1], [1, 1, 0, 0]])),
+    "nll_sum": lambda: bilm._nll_sum(
+        _p(2, 3, 4), np.array([[0, 4, 1], [2, 0, 0]]), np.array([[1, 1, 1], [1, 0, 0]]),
+        {"lm.head.W": _p(5, 4), "lm.head.b": _p(5)}),
     "anchor_penalty": lambda: bilm.anchor_penalty(
         {"a": _p(2, 3), "b": _p(4)}, {"a": np.zeros((2, 3)), "b": np.ones(4)}, 0.5),
 }

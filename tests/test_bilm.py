@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -234,6 +235,109 @@ class TestBiLMLoss:
         config, vocab, cvocab, params = _setup()
         with pytest.raises(ContractError):
             bilm.perplexity([[]], params, config, vocab, cvocab)
+
+
+def transpose(x):
+    """A 2-d transpose as a graph node; the head-weight transpose of the
+    unfused softmax head below."""
+    x = ad._as_tensor(x)
+    if x.data.ndim != 2:
+        raise ContractError("transpose expects a 2-d tensor")
+    def _bw(g):
+        x._accum(g.T)
+    return ad.node(x.data.T, (x,), _bw)
+
+
+def reference_nll_sum(states, targets, mask, params):
+    """The unfused softmax head: matmul, log_softmax, a gather of every
+    position's target and a mask multiply.  `bilm._nll_sum` must agree with
+    it in value and gradient."""
+    B, T, d = states.data.shape
+    V = params["lm.head.W"].data.shape[0]
+    logits = ad.matmul(states, transpose(params["lm.head.W"])) + params["lm.head.b"]
+    logp = ad.log_softmax(logits, axis=-1)
+    flat = ad.reshape(logp, (B * T, V))
+    picked = flat[(np.arange(B * T), targets.reshape(-1))]
+    return -(picked * mask.reshape(-1)).sum()
+
+
+def _head_instance(seed):
+    """Ragged [B, T, d] states (row 2 padding throughout, row 1 with a
+    hole), in-range targets everywhere and a head, as arrays."""
+    rng = np.random.default_rng(seed)
+    B, T, d, V = 4, int(rng.integers(2, 7)), int(rng.integers(1, 6)), int(rng.integers(2, 9))
+    mask = ragged_mask([T, int(rng.integers(1, T + 1)), 0, int(rng.integers(1, T + 1))], T)
+    mask[1, 0] = 0.0
+    arrays = {"states": rng.normal(size=(B, T, d)), "W": rng.normal(size=(V, d)),
+              "b": rng.normal(size=V)}
+    return arrays, rng.integers(0, V, size=(B, T)), mask
+
+
+def _head_run(fn, arrays, targets, mask, scale=0.37):
+    """(value, gradients) of scale * fn(...) over fresh parameters."""
+    p = {k: ad.parameter(k, v.copy()) for k, v in arrays.items()}
+    out = fn(p["states"], targets, mask, {"lm.head.W": p["W"], "lm.head.b": p["b"]})
+    return float(out.data), ad.reverse_gradients(out * scale, p)
+
+
+class TestFusedNLLOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_unfused_graph(self, seed):
+        arrays, targets, mask = _head_instance(seed)
+        want, want_grads = _head_run(reference_nll_sum, arrays, targets, mask)
+        got, got_grads = _head_run(bilm._nll_sum, arrays, targets, mask)
+        assert abs(got - want) < 1e-12
+        for name in arrays:
+            assert np.abs(got_grads[name] - want_grads[name]).max() < 1e-12, name
+
+    def test_padded_targets_are_never_read(self):
+        arrays, targets, mask = _head_instance(1)
+        V = arrays["b"].size
+        odd = targets.copy()
+        odd[mask == 0] = V + 5
+        odd[2, 0] = -V - 7
+        want, want_grads = _head_run(bilm._nll_sum, arrays, targets, mask)
+        got, got_grads = _head_run(bilm._nll_sum, arrays, odd, mask)
+        assert got == want
+        for name in arrays:
+            assert np.array_equal(got_grads[name], want_grads[name]), name
+
+    def test_padded_states_get_exactly_zero_gradient(self):
+        arrays, targets, mask = _head_instance(2)
+        _, grads = _head_run(bilm._nll_sum, arrays, targets, mask)
+        assert np.all(grads["states"][mask == 0] == 0.0)
+        assert np.all(np.abs(grads["states"][mask == 1]).sum(axis=-1) > 0.0)
+
+    def test_one_node_over_states_and_head(self):
+        arrays, targets, mask = _head_instance(0)
+        p = {k: ad.parameter(k, v) for k, v in arrays.items()}
+        out = bilm._nll_sum(p["states"], targets, mask,
+                            {"lm.head.W": p["W"], "lm.head.b": p["b"]})
+        assert out._parents == (p["states"], p["W"], p["b"])
+        cells = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(c is out for c in cells)
+
+    def test_ragged_batch_loss_matches_finite_differences(self):
+        config, vocab, cvocab, params = _setup()
+        batch = lm_batches(SENTS, vocab, cvocab, 3, config.encoder.max_word_len, seed=0)[0]
+        assert 0 < batch.n_tokens < batch.mask.size  # padded
+
+        def loss_fn():
+            return bilm.bilm_loss(batch, params, config)
+
+        assert ad.finite_difference_check(loss_fn, params, max_coords=80) < 1e-4
+
+    def test_transpose_helper_leaves_no_cycle(self):
+        x = ad.parameter("x", np.random.default_rng(0).uniform(0.5, 1.5, size=(2, 3)))
+        gc.collect()
+        gc.disable()
+        try:
+            out = transpose(x)
+            assert out.requires_grad and out._backward is not None
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestContextualRepr:

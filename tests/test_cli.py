@@ -419,3 +419,48 @@ def test_bad_size_in_config_is_1_and_named(ws, capsys, command, line, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{key} is " in err
     assert not (ws / "out.ckpt").exists()
+
+
+BAD_VALUES = [("seed", "-1"), ("patience", "-1"), ("freeze_word_emb", "2"),
+              ("epochs", "0"), ("lm_epochs", "0"), ("finetune_epochs", "0"),
+              ("batch_size", "-4"), ("min_count", "0"), ("lr", "-1"), ("lr", "inf"), ("clip_norm", "0"),
+              ("clip_norm", "nan"), ("anchor_l2", "-0.5"), ("anchor_l2", "nan"),
+              ("dropout", "1.5"), ("dropout", "1"), ("unk_rate", "2"),
+              ("unk_rate", "-0.1")]
+
+
+@pytest.mark.parametrize("command", ["pretrain-lm", "train-ner"])
+@pytest.mark.parametrize("key, value", BAD_VALUES)
+def test_out_of_range_config_value_is_1_and_named(ws, capsys, command, key, value):
+    (ws / "bad.cfg").write_text(TINY_CFG + f"{key}={value}\n")
+    data = (["--corpus", ws / "lm.txt"] if command == "pretrain-lm"
+            else ["--train", ws / "train.conll"])
+    assert _run([command, "--config", ws / "bad.cfg", *data, "--epochs", 2,
+                 "--out", ws / "out.ckpt"]) == 1
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"error: {ws / 'bad.cfg'}:{TINY_CFG.count(chr(10)) + 1}: "
+                          f"{key} is ")
+    assert "epoch=" not in stdout
+    assert not (ws / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", -1), ("--epochs", 0),
+                                         ("--patience", -2)])
+def test_out_of_range_flag_is_1_and_named(ws, capsys, flag, value):
+    args = ["train-ner", "--config", ws / "tiny.cfg", "--train", ws / "train.conll",
+            "--out", ws / "out.ckpt", flag, value]
+    if flag != "--epochs":
+        args += ["--epochs", 2]
+    assert _run(args) == 1
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"error: command line: {flag[2:]} is {value!r}, not ")
+    assert "epoch=" not in stdout
+    assert not (ws / "out.ckpt").exists()
+
+
+def test_range_edges_are_accepted(ws):
+    (ws / "edge.cfg").write_text("seed=0\npatience=0\nfreeze_word_emb=1\nepochs=1\n"
+                                 "lr=1e-300\nclip_norm=1e-9\nanchor_l2=0\n"
+                                 "dropout=0\nunk_rate=0.999\n")
+    cfg = cli.load_config(ws / "edge.cfg")
+    assert (cfg.seed, cfg.anchor_l2, cfg.dropout, cfg.unk_rate) == (0, 0.0, 0.0, 0.999)

@@ -1,6 +1,8 @@
 """Parameter tables: each model declares its (name, shape, fill) rows once;
 init, the checkpoint tensor check and transfer all read the same rows."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from seqxfer.corpus import build_char_vocab, build_vocab
 
 from conftest import (tiny_bilm_config, tiny_encoder_config, tiny_tagger_config,
                       toy_ner_corpus)
+from test_bilm import reference_nll_sum
 
 WORDS = [["alpha", "beta", "gamma"], ["beta", "delta"]]
 OTHER = [["uno", "dos"], ["tres", "dos", "cuatro"]]
@@ -154,11 +157,21 @@ def test_pinned_init_digest(make, seed, digest):
     assert make(seed) == digest
 
 
-def _digest_train_lm(seed):
+def _train_lm(seed):
     corpus = WORDS + OTHER
     return bilm.train_lm(corpus, build_vocab(corpus), build_char_vocab(corpus),
                          tiny_bilm_config(), epochs=2, batch_size=2, lr=0.01,
-                         seed=seed).digest()
+                         seed=seed)
+
+
+def _digest_train_lm(seed):
+    return _train_lm(seed).digest()
+
+
+def _digest_train_lm_reference(seed):
+    """The same run through the unfused softmax head."""
+    with mock.patch.object(bilm, "_nll_sum", reference_nll_sum):
+        return _digest_train_lm(seed)
 
 
 def _digest_tagger_dev(seed):
@@ -185,11 +198,18 @@ def _digest_tagger_provider(seed):
 
 # Digests of short anchor-free training runs, recorded before both
 # trainers shared one training step.  Training runs BLAS matmuls, so a
-# BLAS that sums in another order can move these on another host.
+# BLAS that sums in another order can move these on another host.  The
+# fused LM head sums in another order than the unfused graph, so train_lm
+# has its own pair; the unfused head still gives the digests recorded
+# before it.
 PINNED_TRAINING = [
     (_digest_train_lm, 0,
-     "27e8269d7ae09d14311f112954c92130bde19de60c177aa49b402e5ba5d51c91"),
+     "fd8300c17afbed2a65e9cf8cf4126bddfa434cc930de8475f8b0e043bb1f2b54"),
     (_digest_train_lm, 7,
+     "22b5b543c670349e494cd2ae18e65260fe4a0064ff995ddb1469458c226dc467"),
+    (_digest_train_lm_reference, 0,
+     "27e8269d7ae09d14311f112954c92130bde19de60c177aa49b402e5ba5d51c91"),
+    (_digest_train_lm_reference, 7,
      "aeda57681dd31ed9400e729d0d26e3add2bf41ca20b760e89aa9a3d7b0ea7efc"),
     (_digest_tagger_dev, 0,
      "2e34241f5b106d009c669b153ac62e4b0a720aca9919fa6c3f729b8c7a91006f"),
@@ -206,3 +226,13 @@ PINNED_TRAINING = [
                          ids=[f"{m.__name__[8:]}-seed{s}" for m, s, _ in PINNED_TRAINING])
 def test_pinned_training_digest(make, seed, digest):
     assert make(seed) == digest
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_fused_head_trains_as_the_unfused_one(seed):
+    fused = _train_lm(seed)
+    with mock.patch.object(bilm, "_nll_sum", reference_nll_sum):
+        unfused = _train_lm(seed)
+    assert fused.tensors.keys() == unfused.tensors.keys()
+    for name, arr in unfused.tensors.items():
+        assert np.abs(fused.tensors[name] - arr).max() < 1e-12, name
