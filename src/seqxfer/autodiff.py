@@ -215,25 +215,6 @@ def tsum(x, axis=None, keepdims=False):
     return node(x.data.sum(axis=axis, keepdims=keepdims), (x,), _bw)
 
 
-def tmax(x, axis):
-    """Max over one axis; the gradient flows to the first argmax only."""
-    x = _as_tensor(x)
-    def _bw(g):
-        idx = np.expand_dims(x.data.argmax(axis=axis), axis)
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
-        x._accum(gx)
-    return node(x.data.max(axis=axis), (x,), _bw)
-
-
-def tanh(x):
-    x = _as_tensor(x)
-    y = np.tanh(x.data)
-    def _bw(g):
-        x._accum(g * (1.0 - y * y))
-    return node(y, (x,), _bw)
-
-
 def sigmoid(x):
     x = _as_tensor(x)
     # 0.5*(tanh(x/2)+1) is overflow-safe for large |x|

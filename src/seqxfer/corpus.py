@@ -337,6 +337,52 @@ def char_id_row(word, char_vocab, max_len):
     return np.array(ids, dtype=np.int64)
 
 
+def _word_types(token_lists, word_vocab=None, char_vocab=None, max_word_len=None):
+    """Map token lists onto their distinct surface forms ("types"), numbered
+    from 1 in first-appearance order; type 0 is padding.  Returns one int
+    array of type ids per sentence, the types' char-id rows
+    [1 + n_types, max_word_len] (row 0 all PAD) when `char_vocab` is given,
+    and their word ids [1 + n_types] (PAD first) when `word_vocab` is."""
+    index = {}
+    types = [np.array([index.setdefault(t, len(index) + 1) for t in sent], dtype=np.int64)
+             for sent in token_lists]
+    rows = words = None
+    if char_vocab is not None:
+        if isinstance(max_word_len, bool) or not isinstance(max_word_len, (int, np.integer)) \
+                or max_word_len < 3:
+            raise ContractError(f"char rows need an integer max_word_len >= 3, "
+                                f"got {max_word_len!r}")
+        rows = np.array([np.full(max_word_len, PAD)]
+                        + [char_id_row(t, char_vocab, max_word_len) for t in index],
+                        dtype=np.int64)
+    if word_vocab is not None:
+        words = np.array([PAD] + [word_vocab.id(t) for t in index], dtype=np.int64)
+    return types, rows, words
+
+
+def _grid_batch(types, rows=None, words=None, tag_ids=None):
+    """Pad sentences given as type-id arrays (see `_word_types`) into one
+    Batch: the char rows of the batch's distinct types in first-appearance
+    order after the all-PAD row 0 when `rows` is given, word ids when
+    `words` is, and a tag column from `tag_ids` (one int sequence per
+    sentence)."""
+    lengths = [len(t) for t in types]
+    real = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    grid = np.zeros(real.shape, dtype=np.int64)
+    grid[real] = np.concatenate(types)
+    tags = uniq = word_index = None
+    if tag_ids is not None:
+        tags = np.zeros(real.shape, dtype=np.int64)
+        tags[real] = np.concatenate(tag_ids)
+    if rows is not None:
+        kinds = np.fromiter(dict.fromkeys([0] + grid[real].tolist()), dtype=np.int64)
+        row_of = np.zeros(len(rows), dtype=np.int64)
+        row_of[kinds] = np.arange(len(kinds))
+        uniq, word_index = rows[kinds], row_of[grid]
+    return Batch(uniq, word_index, real.astype(np.float64),
+                 word_ids=None if words is None else words[grid], tag_ids=tags)
+
+
 def pad_batch(token_lists, word_vocab=None, char_vocab=None, max_word_len=None,
               tag_ids=None):
     """Pad nonempty token lists into one Batch: char rows of the distinct
@@ -344,47 +390,27 @@ def pad_batch(token_lists, word_vocab=None, char_vocab=None, max_word_len=None,
     tag column from `tag_ids` (one int sequence per sentence)."""
     if not token_lists or not all(token_lists):
         raise ContractError("empty sentence")
-    B, T = len(token_lists), max(len(s) for s in token_lists)
-    mask = np.zeros((B, T), dtype=np.float64)
-    words = np.full((B, T), PAD, dtype=np.int64) if word_vocab is not None else None
-    tags = np.zeros((B, T), dtype=np.int64) if tag_ids is not None else None
-    rows = word_index = None
-    if char_vocab is not None:
-        uniq = {}  # token -> row; row 0, the pad row, is no token's
-        rows = [np.full(max_word_len, PAD, dtype=np.int64)]
-        word_index = np.zeros((B, T), dtype=np.int64)
-    for b, sent in enumerate(token_lists):
-        n = len(sent)
-        mask[b, :n] = 1.0
-        if words is not None:
-            words[b, :n] = [word_vocab.id(t) for t in sent]
-        if tags is not None:
-            tags[b, :n] = tag_ids[b]
-        if rows is not None:
-            for k, tok in enumerate(sent):
-                if tok not in uniq:
-                    uniq[tok] = len(rows)
-                    rows.append(char_id_row(tok, char_vocab, max_word_len))
-                word_index[b, k] = uniq[tok]
-    return Batch(None if rows is None else np.stack(rows), word_index, mask,
-                 word_ids=words, tag_ids=tags)
+    types, rows, words = _word_types(token_lists, word_vocab, char_vocab, max_word_len)
+    return _grid_batch(types, rows, words, tag_ids)
 
 
 def lm_batches(corpus, vocab, char_vocab, batch_size, max_word_len, seed=0):
-    """Shuffle, length-bucket and pad sentences into Batches with LM targets."""
+    """Shuffle, length-bucket and pad sentences into Batches with LM targets.
+    The corpus's types are mapped once; each batch gathers from them."""
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
     sentences = [s for s in corpus if s]
+    types, char_rows, words = _word_types(sentences, vocab, char_vocab, max_word_len)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(sentences))
-    shuffled = [sentences[i] for i in order]
+    shuffled = [types[i] for i in order]
     shuffled.sort(key=len)  # stable: equal lengths keep shuffled order
     chunks = [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
     chunk_order = rng.permutation(len(chunks))
 
     batches = []
     for ci in chunk_order:
-        batch = pad_batch(chunks[ci], vocab, char_vocab, max_word_len)
+        batch = _grid_batch(chunks[ci], char_rows, words)
         ids, real = batch.word_ids, batch.mask == 1.0
         rows = np.arange(len(ids))
         last = batch.lengths - 1

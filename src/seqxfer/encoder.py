@@ -94,37 +94,89 @@ def highway_forward(x, WT, bT, WH, bH):
     return gate * transform + (1.0 - gate) * x
 
 
-def encode_char_matrix(ids, params, config):
-    """Encode a batch of padded char-id rows [U, L] into vectors [U, d_out].
+def char_cnn(ids, params, config):
+    """Max-pooled convolution features [U, pooled_dim] of padded char-id
+    rows [U, L], as one graph node over the embedding and every width's
+    filters.
 
-    PAD char positions contribute zero embeddings; convolution windows
-    whose start falls on PAD are forced to NEG_BIG before pooling, so
-    trailing padding can never change the output.
+    PAD char positions contribute zero embeddings; windows whose start
+    falls on PAD are pushed down by NEG_BIG before the max over time, so
+    trailing padding can never change the output.  All widths run as one
+    matmul: width w's filters fill the first w*d rows of their columns.
+    In the backward pass only the first argmax window of each (word,
+    channel) gets a gradient, and one scatter sends the real char
+    positions' share to `char_enc.emb`.
     """
+    emb = params["char_enc.emb"]
+    n_chars = emb.data.shape[0]
     ids = np.asarray(ids)
+    if ids.ndim != 2 or not np.issubdtype(ids.dtype, np.integer):
+        raise ContractError(f"char ids must be a 2-d integer array, got "
+                            f"{ids.dtype} of shape {ids.shape}")
+    outside = (ids < 0) | (ids >= n_chars)
+    if outside.any():
+        raise ContractError(f"char id {ids[outside][0]} is outside the "
+                            f"{n_chars}-char vocabulary")
     U, L = ids.shape
-    d = config.d_char
-    emb = ad.getitem(params["char_enc.emb"], ids.reshape(-1))
-    emb = ad.reshape(emb, (U, L, d))
-    real = (ids != PAD).astype(np.float64)
-    emb = emb * real[:, :, None]
+    d, widths, wmax = config.d_char, config.filter_widths, max(config.filter_widths)
+    if wmax > L:
+        raise ContractError(f"filter width {wmax} exceeds max word length {L}")
+    convs = [(w, params[f"char_enc.conv{w}.W"], params[f"char_enc.conv{w}.b"])
+             for w in widths]
+    spans = np.cumsum([0] + [b.data.shape[0] for _, _, b in convs])
+    W_all = np.zeros((wmax * d, spans[-1]))
+    for (w, W, _), lo, hi in zip(convs, spans, spans[1:]):
+        W_all[:w * d, lo:hi] = W.data
+    # windows[u, t, j] is the char at t + j, PAD past the row's end
+    padded = np.full((U, L + wmax - 1), PAD, dtype=ids.dtype)
+    padded[:, :L] = ids
+    windows = padded[:, np.arange(L)[:, None] + np.arange(wmax)]
+    table = emb.data.copy()
+    table[PAD] = 0.0
+    X = table[windows].reshape(U * L, wmax * d)
+    act = X @ W_all
+    act += np.concatenate([b.data for _, _, b in convs])
+    act = np.tanh(act, out=act).reshape(U, L, -1)
+    # The pool's masks are applied in place.  A window starting on PAD
+    # loses by NEG_BIG, and one past the row's last start for its width
+    # (t > L - w) does not exist and never wins.  So a max that lands on a
+    # masked window lands on t = 0, whose tanh is kept for the backward.
+    first = act[:, 0].copy()
+    act += np.where(ids == PAD, NEG_BIG, 0.0)[:, :, None]
+    for (w, _, _), lo, hi in zip(convs, spans, spans[1:]):
+        act[:, L - w + 1:, lo:hi] = -np.inf
+    pooled = act.max(axis=1)
 
-    pooled = []
-    for w, n in zip(config.filter_widths, config.filter_counts):
-        Lo = L - w + 1
-        if Lo < 1:
-            raise ContractError(f"filter width {w} exceeds max word length {L}")
-        W = params[f"char_enc.conv{w}.W"]
-        acc = None
-        for j in range(w):
-            piece = ad.matmul(emb[:, j:j + Lo, :], W[j * d:(j + 1) * d, :])
-            acc = piece if acc is None else acc + piece
-        act = ad.tanh(acc + params[f"char_enc.conv{w}.b"])
-        window_ok = real[:, :Lo]
-        act = act + ((1.0 - window_ok) * NEG_BIG)[:, :, None]
-        pooled.append(ad.tmax(act, axis=1))
-    x = ad.concat(pooled, axis=1)
+    def _bw(g):
+        top = act.argmax(axis=1)
+        at = (np.arange(U)[:, None], top, np.arange(spans[-1]))
+        y = np.where(ids[at[:2]] == PAD, first, pooled)
+        g = (1.0 - y * y) * g
+        dz = np.zeros(act.shape)
+        dz[at] = g
+        dz = dz.reshape(U * L, -1)
+        dW = X.T @ dz if any(W.requires_grad for _, W, _ in convs) else None
+        db = g.sum(axis=0)
+        for (w, W, b), lo, hi in zip(convs, spans, spans[1:]):
+            if W.requires_grad:
+                W._accum(dW[:w * d, lo:hi])
+            if b.requires_grad:
+                b._accum(db[lo:hi])
+        if emb.requires_grad:
+            dX = (dz @ W_all.T).reshape(U, L, wmax, d)
+            real = windows != PAD
+            # one scatter-add of every real window position's share
+            slots = (windows[real][:, None] * d + np.arange(d)).ravel()
+            emb._accum(np.bincount(slots, weights=dX[real].ravel(),
+                                   minlength=emb.data.size).reshape(emb.data.shape))
+    parents = [emb] + [p for _, W, b in convs for p in (W, b)]
+    return ad.node(pooled, parents, _bw)
 
+
+def encode_char_matrix(ids, params, config):
+    """Encode a batch of padded char-id rows [U, L] into vectors [U, d_out]:
+    the fused char-CNN node, then highway layers and a projection."""
+    x = char_cnn(ids, params, config)
     for layer in range(config.highway_layers):
         x = highway_forward(
             x,

@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 
+from seqxfer import autodiff as ad
 from seqxfer.bilm import BiLMConfig
 from seqxfer.corpus import LabeledSequence
 from seqxfer.encoder import CharEncoderConfig
 from seqxfer.tagger import TaggerConfig
+
+
+def tanh(x):
+    """tanh as a graph node, for the unfused oracle graphs; the fused ops
+    apply theirs inside their own nodes."""
+    x = ad._as_tensor(x)
+    y = np.tanh(x.data)
+    def _bw(g):
+        x._accum(g * (1.0 - y * y))
+    return ad.node(y, (x,), _bw)
 
 
 def tiny_encoder_config(**kw):

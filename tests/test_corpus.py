@@ -221,6 +221,138 @@ class TestLMBatches:
         assert not batch.uniq_char_ids[0].any()
 
 
+def reference_pad_batch(token_lists, word_vocab=None, char_vocab=None,
+                        max_word_len=None, tag_ids=None):
+    """The per-token batch builder that `cp.pad_batch` replaced: each
+    call builds the char rows of its distinct words one token at a time."""
+    if not token_lists or not all(token_lists):
+        raise ContractError("empty sentence")
+    B, T = len(token_lists), max(len(s) for s in token_lists)
+    mask = np.zeros((B, T), dtype=np.float64)
+    words = np.full((B, T), cp.PAD, dtype=np.int64) if word_vocab is not None else None
+    tags = np.zeros((B, T), dtype=np.int64) if tag_ids is not None else None
+    rows = word_index = None
+    if char_vocab is not None:
+        uniq = {}  # token -> row; row 0, the pad row, is no token's
+        rows = [np.full(max_word_len, cp.PAD, dtype=np.int64)]
+        word_index = np.zeros((B, T), dtype=np.int64)
+    for b, sent in enumerate(token_lists):
+        n = len(sent)
+        mask[b, :n] = 1.0
+        if words is not None:
+            words[b, :n] = [word_vocab.id(t) for t in sent]
+        if tags is not None:
+            tags[b, :n] = tag_ids[b]
+        if rows is not None:
+            for k, tok in enumerate(sent):
+                if tok not in uniq:
+                    uniq[tok] = len(rows)
+                    rows.append(cp.char_id_row(tok, char_vocab, max_word_len))
+                word_index[b, k] = uniq[tok]
+    return cp.Batch(None if rows is None else np.stack(rows), word_index, mask,
+                    word_ids=words, tag_ids=tags)
+
+
+def reference_lm_batches(corpus, vocab, char_vocab, batch_size, max_word_len, seed=0):
+    """`cp.lm_batches` as it was before it mapped word types once: the same
+    shuffle and length buckets, each padded by `reference_pad_batch`."""
+    sentences = [s for s in corpus if s]
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(sentences))
+    shuffled = [sentences[i] for i in order]
+    shuffled.sort(key=len)
+    chunks = [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
+    batches = []
+    for ci in rng.permutation(len(chunks)):
+        batch = reference_pad_batch(chunks[ci], vocab, char_vocab, max_word_len)
+        ids, real = batch.word_ids, batch.mask == 1.0
+        fwd = np.full_like(ids, cp.PAD)
+        fwd[:, :-1] = ids[:, 1:]
+        fwd[np.arange(len(ids)), batch.lengths - 1] = cp.EOS
+        bwd = np.full_like(ids, cp.BOS)
+        bwd[:, 1:] = ids[:, :-1]
+        bwd[~real] = cp.PAD
+        batch.fwd_targets, batch.bwd_targets = fwd, bwd
+        batches.append(batch)
+    return batches
+
+
+BATCH_FIELDS = ("uniq_char_ids", "word_index", "mask", "word_ids", "tag_ids",
+                "fwd_targets", "bwd_targets")
+
+
+def assert_same_batch(got, want):
+    for field in BATCH_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        if b is None:
+            assert a is None, field
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert np.array_equal(a, b), field
+
+
+def _random_corpus(seed, max_word_len):
+    """Sentences (some empty) over a small Zipf-like lexicon with a token
+    spelled <pad>, tokens longer than max_word_len and chars that the char
+    vocabulary, built from part of the corpus, does not hold."""
+    rng = np.random.default_rng(seed)
+    lexicon = ["<pad>", "<unk>", "x" * (max_word_len + 4)]
+    lexicon += ["".join(rng.choice(list("abcdefgé#"), size=int(rng.integers(1, max_word_len + 3))))
+                for _ in range(40)]
+    weights = 1.0 / np.arange(1, len(lexicon) + 1)
+    corpus = [[lexicon[i] for i in rng.choice(len(lexicon), size=int(rng.integers(0, 9)),
+                                               p=weights / weights.sum())]
+              for _ in range(70)]
+    vocab = cp.build_vocab(corpus[:35])
+    chars = cp.build_char_vocab([["abcdefg", "<pad>"]])  # no é, no #
+    return corpus, vocab, chars
+
+
+class TestBatchesMatchPerTokenBuilder:
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lm_batches(self, batch_size, seed):
+        corpus, vocab, chars = _random_corpus(seed, 8)
+        got = cp.lm_batches(corpus, vocab, chars, batch_size, 8, seed=seed)
+        want = reference_lm_batches(corpus, vocab, chars, batch_size, 8, seed=seed)
+        assert len(got) == len(want) > 1
+        assert any("<pad>" in s and "x" * 12 in s for s in corpus)
+        assert any((b.uniq_char_ids == cp.UNK).any() for b in got)
+        for a, b in zip(got, want):
+            assert_same_batch(a, b)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pad_batch(self, batch_size, seed):
+        corpus, vocab, chars = _random_corpus(seed, 8)
+        sents = [s for s in corpus if s][:batch_size]
+        rng = np.random.default_rng(seed)
+        tags = [list(rng.integers(0, 5, size=len(s))) for s in sents]
+        for kwargs in ({"word_vocab": vocab, "char_vocab": chars, "max_word_len": 8,
+                        "tag_ids": tags},
+                       {"char_vocab": chars, "max_word_len": 8},
+                       {"word_vocab": vocab},
+                       {"word_vocab": vocab, "tag_ids": tags}):
+            assert_same_batch(cp.pad_batch(sents, **kwargs),
+                              reference_pad_batch(sents, **kwargs))
+
+    def test_words_repeat_across_batches(self):
+        corpus, vocab, chars = _random_corpus(0, 8)
+        batches = cp.lm_batches(corpus, vocab, chars, 3, 8, seed=0)
+        seen = [{bytes(row) for row in b.uniq_char_ids[1:]} for b in batches]
+        assert any(a & b for i, a in enumerate(seen) for b in seen[i + 1:])
+
+    @pytest.mark.parametrize("max_word_len", [None, 8.0, True, 2, -1])
+    def test_char_rows_need_an_integer_max_word_len(self, max_word_len):
+        sents = [["a", "b"]]
+        with pytest.raises(ContractError, match="max_word_len"):
+            cp.pad_batch(sents, char_vocab=cp.build_char_vocab(sents),
+                         max_word_len=max_word_len)
+        with pytest.raises(ContractError, match="max_word_len"):
+            cp.lm_batches(sents, cp.build_vocab(sents), cp.build_char_vocab(sents), 1,
+                          max_word_len)
+
+
 class TestConllFuzz:
     FIELD = st.text(st.characters(blacklist_categories=("Cs",))
                     .filter(lambda c: not c.isspace()), min_size=1, max_size=6)

@@ -1,13 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 
 from seqxfer import autodiff as ad
 from seqxfer import encoder as enc
 from seqxfer.bilm import BiLMConfig
-from seqxfer.corpus import build_char_vocab, char_id_row
+from seqxfer.corpus import PAD, build_char_vocab, char_id_row, pad_batch
 from seqxfer.errors import ContractError
 
-from conftest import tiny_bilm_config, tiny_encoder_config
+from conftest import tanh, tiny_bilm_config, tiny_encoder_config
 
 
 def _setup(seed=0):
@@ -126,6 +128,205 @@ class TestEncoderGradients:
             return (diff * diff).sum()
 
         assert ad.finite_difference_check(loss_fn, params, max_coords=120) < 1e-4
+
+
+def tmax(x, axis):
+    """Max over one axis; the gradient flows to the first argmax only.  The
+    max-over-time pool of the unfused char-CNN below."""
+    x = ad._as_tensor(x)
+    def _bw(g):
+        idx = np.expand_dims(x.data.argmax(axis=axis), axis)
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
+        x._accum(gx)
+    return ad.node(x.data.max(axis=axis), (x,), _bw)
+
+
+def reference_char_cnn(ids, params, config):
+    """The unfused char-CNN: an embedding gather, `w` sliced matmuls per
+    filter width, tanh, the NEG_BIG window mask and a max over time.
+    `enc.char_cnn` must agree with it in value and gradient."""
+    ids = np.asarray(ids)
+    U, L = ids.shape
+    d = config.d_char
+    emb = ad.getitem(params["char_enc.emb"], ids.reshape(-1))
+    emb = ad.reshape(emb, (U, L, d))
+    real = (ids != PAD).astype(np.float64)
+    emb = emb * real[:, :, None]
+
+    pooled = []
+    for w, n in zip(config.filter_widths, config.filter_counts):
+        Lo = L - w + 1
+        if Lo < 1:
+            raise ContractError(f"filter width {w} exceeds max word length {L}")
+        W = params[f"char_enc.conv{w}.W"]
+        acc = None
+        for j in range(w):
+            piece = ad.matmul(emb[:, j:j + Lo, :], W[j * d:(j + 1) * d, :])
+            acc = piece if acc is None else acc + piece
+        act = tanh(acc + params[f"char_enc.conv{w}.b"])
+        window_ok = real[:, :Lo]
+        act = act + ((1.0 - window_ok) * enc.NEG_BIG)[:, :, None]
+        pooled.append(tmax(act, axis=1))
+    return ad.concat(pooled, axis=1)
+
+
+def reference_encode_char_matrix(ids, params, config):
+    """The encoder with the unfused char-CNN: the graph composition that
+    `enc.encode_char_matrix` replaced, which trains to the same weights."""
+    x = reference_char_cnn(ids, params, config)
+    for layer in range(config.highway_layers):
+        x = enc.highway_forward(
+            x,
+            params[f"char_enc.hw{layer}.WT"], params[f"char_enc.hw{layer}.bT"],
+            params[f"char_enc.hw{layer}.WH"], params[f"char_enc.hw{layer}.bH"])
+    return ad.matmul(x, params["char_enc.proj.W"]) + params["char_enc.proj.b"]
+
+
+class TestTmaxHelper:
+    def test_max_routes_gradient_to_first_argmax(self):
+        p = ad.parameter("p", np.array([[1.0, 3.0, 3.0]]))
+        grads = ad.reverse_gradients(tmax(p, axis=1).sum(), {"p": p})
+        assert np.array_equal(grads["p"], np.array([[0.0, 1.0, 0.0]]))
+
+    def test_dropped_output_leaves_no_cycle(self):
+        x = ad.parameter("p", np.random.default_rng(0).uniform(0.5, 1.5, size=(2, 3)))
+        gc.collect()
+        gc.disable()
+        try:
+            out = tmax(x, axis=1)
+            assert out.requires_grad and out._backward is not None
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# every width from 1 to 5, and the default sizes
+ORACLE_CONFIGS = [
+    tiny_encoder_config(d_char=3, filter_widths=(1, 2, 3, 4, 5),
+                        filter_counts=(2, 3, 4, 3, 2), highway_layers=1, max_word_len=7),
+    enc.CharEncoderConfig(),
+]
+
+
+def _char_instance(config, seed):
+    """An all-PAD row 0, then char rows of a 1-char word, a word that fills
+    the row, a word truncated to it, random lengths between and two odd
+    rows, with parameter arrays for them."""
+    rng = np.random.default_rng(seed)
+    n_chars, L = 12, config.max_word_len
+    lengths = [1, L - 2, L + 3] + list(rng.integers(1, L + 3, size=5))
+    words = ["".join(rng.choice(list("abcdefghij"), size=n)) for n in lengths]
+    cvocab = build_char_vocab([list("abcdefgh")])  # i and j are unknown chars
+    # rows char_id_row never makes: PAD before real chars, and a real char
+    # only at the last position, where no window of width > 1 starts
+    odd = np.full((2, L), PAD)
+    odd[0, 1:4] = rng.integers(1, n_chars, size=3)
+    odd[1, -1] = rng.integers(1, n_chars)
+    ids = np.concatenate([np.full((1, L), PAD)]
+                         + [char_id_row(w, cvocab, L)[None] for w in words] + [odd])
+    # glorot weights, and biases moved off their constant fills
+    arrays = {k: p.data + (rng.normal(scale=0.5, size=p.data.shape) if p.data.ndim == 1
+                           else 0.0)
+              for k, p in ad.init_params(enc.char_encoder_table(config, n_chars),
+                                         seed).items()}
+    return ids, arrays
+
+
+def _cnn_run(fn, ids, arrays, config, cotangent):
+    """(value, gradients) of (fn(...) * cotangent).sum() over fresh
+    parameters."""
+    p = {k: ad.parameter(k, v.copy()) for k, v in arrays.items()}
+    out = fn(ids, p, config)
+    return out.data, ad.reverse_gradients((out * cotangent).sum(), p)
+
+
+class TestFusedCharCNNOracle:
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["widths1-5", "default"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pool_matches_unfused_graph(self, config, seed):
+        ids, arrays = _char_instance(config, seed)
+        # row 0's pooled value is NEG_BIG; its cotangent reaches only the biases
+        cotangent = 0.37 * np.random.default_rng(seed).normal(
+            size=(len(ids), config.pooled_dim))
+        want, want_grads = _cnn_run(reference_char_cnn, ids, arrays, config, cotangent)
+        got, got_grads = _cnn_run(enc.char_cnn, ids, arrays, config, cotangent)
+        assert np.abs(got - want).max() < 1e-12
+        assert np.all(got[0] == enc.NEG_BIG)
+        for name in got_grads:
+            assert np.abs(got_grads[name] - want_grads[name]).max() < 1e-12, name
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["widths1-5", "default"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_encoder_matches_unfused_graph(self, config, seed):
+        ids, arrays = _char_instance(config, seed)
+        # the model never sends a cotangent into the all-PAD row
+        cotangent = 0.37 * np.random.default_rng(seed).normal(size=(len(ids), config.d_out))
+        cotangent[0] = 0.0
+        want, want_grads = _cnn_run(reference_encode_char_matrix, ids, arrays, config,
+                                    cotangent)
+        got, got_grads = _cnn_run(enc.encode_char_matrix, ids, arrays, config, cotangent)
+        assert np.abs(got[1:] - want[1:]).max() < 1e-12
+        for name in got_grads:
+            assert np.abs(got_grads[name] - want_grads[name]).max() < 1e-12, name
+
+    def test_pad_embedding_row_gets_exactly_zero_gradient(self):
+        config = ORACLE_CONFIGS[0]
+        ids, arrays = _char_instance(config, 1)
+        cotangent = np.random.default_rng(1).normal(size=(len(ids), config.d_out))
+        _, grads = _cnn_run(enc.encode_char_matrix, ids, arrays, config, cotangent)
+        emb_grad = grads["char_enc.emb"]
+        assert np.all(emb_grad[PAD] == 0.0)
+        assert np.all(np.abs(emb_grad[np.unique(ids[ids != PAD])]).sum(axis=1) > 0.0)
+
+    def test_one_node_over_embedding_and_filters(self):
+        config = ORACLE_CONFIGS[0]
+        ids, arrays = _char_instance(config, 0)
+        p = {k: ad.parameter(k, v) for k, v in arrays.items()}
+        out = enc.char_cnn(ids, p, config)
+        want = [p["char_enc.emb"]] + [p[f"char_enc.conv{w}.{k}"]
+                                      for w in config.filter_widths for k in "Wb"]
+        assert out._parents == tuple(want)
+        cells = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(c is out for c in cells)
+
+    def test_ragged_batch_matches_finite_differences(self):
+        config, cvocab, params = _setup()
+        batch = pad_batch([["x", "gamma"], ["alpha", "x", "be"]], char_vocab=cvocab,
+                          max_word_len=config.max_word_len)
+        rows = batch.uniq_char_ids[1:]
+        target = np.random.default_rng(3).normal(size=(len(rows), config.d_out))
+
+        def loss_fn():
+            diff = enc.encode_char_matrix(rows, params, config) + (-target)
+            return (diff * diff).sum()
+
+        assert ad.finite_difference_check(loss_fn, params, max_coords=120) < 1e-4
+
+
+class TestCharIdContract:
+    @pytest.mark.parametrize("bad", [-1, -3])
+    def test_negative_char_id_is_named(self, bad):
+        config, cvocab, params = _setup()
+        ids = np.stack([char_id_row("beta", cvocab, config.max_word_len)])
+        ids[0, 2] = bad
+        with pytest.raises(ContractError, match=f"char id {bad} is outside"):
+            enc.encode_char_matrix(ids, params, config)
+
+    def test_char_id_past_the_vocabulary_is_named(self):
+        config, cvocab, params = _setup()
+        ids = np.stack([char_id_row("beta", cvocab, config.max_word_len)])
+        ids[0, 1] = len(cvocab)
+        with pytest.raises(ContractError, match=f"{len(cvocab)}-char vocabulary"):
+            enc.encode_char_matrix(ids, params, config)
+
+    @pytest.mark.parametrize("ids", [np.zeros(10, dtype=np.int64),
+                                     np.zeros((2, 10)), np.zeros((1, 2, 10), dtype=int)])
+    def test_not_a_2d_integer_array(self, ids):
+        config, _, params = _setup()
+        with pytest.raises(ContractError, match="2-d integer array"):
+            enc.encode_char_matrix(ids, params, config)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -17,6 +17,7 @@ from seqxfer.corpus import build_char_vocab, build_vocab
 from conftest import (tiny_bilm_config, tiny_encoder_config, tiny_tagger_config,
                       toy_ner_corpus)
 from test_bilm import reference_nll_sum
+from test_encoder import reference_encode_char_matrix
 
 WORDS = [["alpha", "beta", "gamma"], ["beta", "delta"]]
 OTHER = [["uno", "dos"], ["tres", "dos", "cuatro"]]
@@ -196,28 +197,49 @@ def _digest_tagger_provider(seed):
     return model.to_checkpoint(metrics=metrics).digest()
 
 
+def _unfused_encoder(make):
+    """`make` run with the char-CNN patched back to its unfused graph."""
+    def run(seed):
+        with mock.patch.object(bilm, "encode_char_matrix", reference_encode_char_matrix):
+            return make(seed)
+    run.__name__ = make.__name__ + "_unfused_encoder"
+    return run
+
+
 # Digests of short anchor-free training runs, recorded before both
 # trainers shared one training step.  Training runs BLAS matmuls, so a
 # BLAS that sums in another order can move these on another host.  The
-# fused LM head sums in another order than the unfused graph, so train_lm
-# has its own pair; the unfused head still gives the digests recorded
-# before it.
+# fused LM head and the fused char-CNN each sum in another order than
+# their unfused graphs, so the runs through them are re-pinned, and the
+# unfused graphs still give the digests recorded before each op was fused.
 PINNED_TRAINING = [
     (_digest_train_lm, 0,
-     "fd8300c17afbed2a65e9cf8cf4126bddfa434cc930de8475f8b0e043bb1f2b54"),
+     "7da5cbca59812219857a008c99782befad57239b6352116a4e7cafe174bfc125"),
     (_digest_train_lm, 7,
-     "22b5b543c670349e494cd2ae18e65260fe4a0064ff995ddb1469458c226dc467"),
+     "1d84e5b5cfddd71a6cca1f136eb785cbe8e9369ca9592d8ed7a07169c260fc03"),
     (_digest_train_lm_reference, 0,
-     "27e8269d7ae09d14311f112954c92130bde19de60c177aa49b402e5ba5d51c91"),
+     "07a2059d6558f9b3d26794f62d8c62c89e77da832233acd1c9863b2cea1a553e"),
     (_digest_train_lm_reference, 7,
-     "aeda57681dd31ed9400e729d0d26e3add2bf41ca20b760e89aa9a3d7b0ea7efc"),
+     "7c014666e2d434042418206ed82db8454d5f4d756928576d1ccfa0006da3cf2d"),
     (_digest_tagger_dev, 0,
      "2e34241f5b106d009c669b153ac62e4b0a720aca9919fa6c3f729b8c7a91006f"),
     (_digest_tagger_dev, 7,
      "23e372f5f2a9439f1fc7e4b703bd4d97c35ee6013132e049a55e7f9a26e52590"),
     (_digest_tagger_provider, 0,
-     "c0699b0ff5cbdcc7322d55592b584a77340d8e9c75bf6b92fe3d09fd62d65a68"),
+     "a0e2615fd741e608f98543b1e815cda943be557c21dbeae5c5fea4472ac75f3a"),
     (_digest_tagger_provider, 7,
+     "05b61293bafde0f89c0fe8d179718033f0d62b0054b3103b77b6c4395d540268"),
+    (_unfused_encoder(_digest_train_lm), 0,
+     "fd8300c17afbed2a65e9cf8cf4126bddfa434cc930de8475f8b0e043bb1f2b54"),
+    (_unfused_encoder(_digest_train_lm), 7,
+     "22b5b543c670349e494cd2ae18e65260fe4a0064ff995ddb1469458c226dc467"),
+    (_unfused_encoder(_digest_train_lm_reference), 0,
+     "27e8269d7ae09d14311f112954c92130bde19de60c177aa49b402e5ba5d51c91"),
+    (_unfused_encoder(_digest_train_lm_reference), 7,
+     "aeda57681dd31ed9400e729d0d26e3add2bf41ca20b760e89aa9a3d7b0ea7efc"),
+    (_unfused_encoder(_digest_tagger_provider), 0,
+     "c0699b0ff5cbdcc7322d55592b584a77340d8e9c75bf6b92fe3d09fd62d65a68"),
+    (_unfused_encoder(_digest_tagger_provider), 7,
      "1630adbb4fde62e82c185d173799b3cbf44f395ec0f2e3d620410d0f8ba98d8b"),
 ]
 
@@ -232,6 +254,16 @@ def test_pinned_training_digest(make, seed, digest):
 def test_fused_head_trains_as_the_unfused_one(seed):
     fused = _train_lm(seed)
     with mock.patch.object(bilm, "_nll_sum", reference_nll_sum):
+        unfused = _train_lm(seed)
+    assert fused.tensors.keys() == unfused.tensors.keys()
+    for name, arr in unfused.tensors.items():
+        assert np.abs(fused.tensors[name] - arr).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_fused_encoder_trains_as_the_unfused_one(seed):
+    fused = _train_lm(seed)
+    with mock.patch.object(bilm, "encode_char_matrix", reference_encode_char_matrix):
         unfused = _train_lm(seed)
     assert fused.tensors.keys() == unfused.tensors.keys()
     for name, arr in unfused.tensors.items():
