@@ -20,6 +20,7 @@ from .errors import ContractError, DataError, TransferError
 
 DIRECTIONS = ("fwd", "bwd")
 HEAD_PARAMS = ("lm.head.W", "lm.head.b")
+PERPLEXITY_BATCH = 32  # sentences per batch in `perplexity`
 
 
 @dataclass
@@ -211,12 +212,17 @@ def encode_batch_words(batch, params, config):
     return ad.reshape(x, (B, T, config.d_out))
 
 
+def lstm_layer(x, mask, params, base, reverse):
+    """`lstm_forward` with the weights params[base + ".Wx" / ".Wh" / ".b"]."""
+    return lstm_forward(x, mask, params[f"{base}.Wx"], params[f"{base}.Wh"],
+                        params[f"{base}.b"], reverse=reverse)
+
+
 def run_direction(x, mask, params, config, direction):
     """One direction's LSTM stack; each layer projects back to d_out."""
     for layer in range(config.lm_layers):
         base = f"lm.{direction}.l{layer}"
-        h = lstm_forward(x, mask, params[f"{base}.Wx"], params[f"{base}.Wh"],
-                         params[f"{base}.b"], reverse=(direction == "bwd"))
+        h = lstm_layer(x, mask, params, base, direction == "bwd")
         x = ad.matmul(h, params[f"{base}.proj.W"]) + params[f"{base}.proj.b"]
     return x
 
@@ -287,13 +293,13 @@ def contextual_repr(sentence, params, config, char_vocab):
         return contextual_states(batch, params, config).data[0]
 
 
-def perplexity(corpus, params, config, vocab, char_vocab, batch_size=32):
+def perplexity(corpus, params, config, vocab, char_vocab):
     """exp(mean per-direction per-token NLL), directions averaged."""
     corpus = [s for s in corpus if s]
     if not corpus:
         raise ContractError("empty corpus")
     total, count = 0.0, 0
-    for batch in lm_batches(corpus, vocab, char_vocab, batch_size,
+    for batch in lm_batches(corpus, vocab, char_vocab, PERPLEXITY_BATCH,
                             config.encoder.max_word_len, seed=0):
         fwd, bwd, n = bilm_loss_parts(batch, params, config)
         total += float(fwd.data) + float(bwd.data)

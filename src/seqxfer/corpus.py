@@ -2,7 +2,8 @@
 
 CoNLL column files, contiguous-entity -> BIO conversion, BIO <-> span
 extraction (with an optional repair mode), vocabulary construction,
-pre-trained word-vector loading and LM batch preparation.
+pre-trained word-vector loading and the padded batches of the LM and
+the tagger.
 """
 
 import io
@@ -113,13 +114,15 @@ def read_lines(source):
     return [line.rstrip("\n") for line in source]
 
 
-def read_conll(source, token_col=0, tag_col=1):
-    """Parse a whitespace-separated column file into LabeledSequences.
+def _where(source, lineno):
+    """'path:N' for a file path source, 'line N' for other sources."""
+    return f"{source}:{lineno}" if isinstance(source, (str, Path)) else f"line {lineno}"
 
-    Blank lines delimit sentences; runs of tabs/spaces both split.
-    A line missing the requested column raises ParseError with its
-    1-based line number.
-    """
+
+def read_conll(source):
+    """Parse whitespace-separated 'token tag' lines into LabeledSequences.
+    Blank lines delimit sentences; runs of tabs/spaces both split.  A line
+    with fewer than two columns raises ParseError located by `_where`."""
     sentences = []
     tokens, tags = [], []
     for lineno, raw in enumerate(read_lines(source), start=1):
@@ -130,14 +133,11 @@ def read_conll(source, token_col=0, tag_col=1):
                 tokens, tags = [], []
             continue
         cols = line.split()
-        for col in (token_col, tag_col):
-            needed = col + 1 if col >= 0 else -col
-            if len(cols) < needed:
-                raise ParseError(
-                    f"line {lineno}: expected column {col}, found "
-                    f"{len(cols)} column(s)")
-        tokens.append(cols[token_col])
-        tags.append(cols[tag_col])
+        if len(cols) < 2:
+            raise ParseError(f"{_where(source, lineno)}: expected a token and a tag "
+                             f"column, found {len(cols)} column(s)")
+        tokens.append(cols[0])
+        tags.append(cols[1])
     if tokens:
         sentences.append(LabeledSequence(tokens, tags))
     return sentences
@@ -249,7 +249,7 @@ def validate_bio(sentences):
 # vocabularies -------------------------------------------------------
 
 
-def build_vocab(token_lists, min_count=1, reserved=WORD_RESERVED):
+def build_vocab(token_lists, min_count=1):
     """Frequency-thresholded, codepoint-sorted symbol vocabulary."""
     if min_count < 1:
         raise ContractError("min_count must be >= 1")
@@ -257,15 +257,15 @@ def build_vocab(token_lists, min_count=1, reserved=WORD_RESERVED):
     for toks in token_lists:
         counts.update(toks)
     kept = sorted(s for s, c in counts.items() if c >= min_count)
-    return Vocabulary(kept, reserved=reserved)
+    return Vocabulary(kept)
 
 
-def build_char_vocab(token_lists, reserved=CHAR_RESERVED):
+def build_char_vocab(token_lists):
     chars = set()
     for toks in token_lists:
         for tok in toks:
             chars.update(tok)
-    return Vocabulary(sorted(chars), reserved=reserved)
+    return Vocabulary(sorted(chars), reserved=CHAR_RESERVED)
 
 
 # pre-trained vectors ------------------------------------------------
@@ -286,12 +286,12 @@ def load_word_vectors(source, vocab, dim, seed=0):
         parts = raw.split()
         word, values = parts[0], parts[1:]
         if len(values) != dim:
-            raise ParseError(
-                f"line {lineno}: expected {dim} floats, found {len(values)}")
+            raise ParseError(f"{_where(source, lineno)}: expected {dim} floats, "
+                             f"found {len(values)}")
         try:
             vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise ParseError(f"{_where(source, lineno)}: {exc}") from exc
         if word in vocab:
             matrix[vocab.id(word)] = vec
             found.add(word)
@@ -318,6 +318,9 @@ class Batch:
     tag_ids: np.ndarray = None      # [B, T] int label ids, 0 where padded
     fwd_targets: np.ndarray = None  # [B, T] int, next-word ids (EOS at end)
     bwd_targets: np.ndarray = None  # [B, T] int, previous-word ids (BOS at front)
+
+    def __len__(self):  # the number of sentences
+        return len(self.mask)
 
     @property
     def n_tokens(self):
@@ -383,43 +386,48 @@ def _grid_batch(types, rows=None, words=None, tag_ids=None):
                  word_ids=None if words is None else words[grid], tag_ids=tags)
 
 
+def batches(token_lists, chunks, word_vocab=None, char_vocab=None, max_word_len=None,
+            tag_ids=None):
+    """One Batch per chunk (a nonempty sequence of indices into nonempty
+    `token_lists`), built by `_grid_batch` from word types that
+    `_word_types` maps once for all chunks; `tag_ids` holds one int
+    sequence per sentence."""
+    if not all(len(c) for c in chunks) \
+            or not all(s and not isinstance(s, str) for s in token_lists):
+        raise ContractError("an empty batch, or a sentence that is not a nonempty token list")
+    types, rows, words = _word_types(token_lists, word_vocab, char_vocab, max_word_len)
+    return [_grid_batch([types[i] for i in c], rows, words,
+                        None if tag_ids is None else [tag_ids[i] for i in c])
+            for c in chunks]
+
+
 def pad_batch(token_lists, word_vocab=None, char_vocab=None, max_word_len=None,
               tag_ids=None):
-    """Pad nonempty token lists into one Batch: char rows of the distinct
-    words when `char_vocab` is given, word ids when `word_vocab` is, and a
-    tag column from `tag_ids` (one int sequence per sentence)."""
-    if not token_lists or not all(token_lists):
-        raise ContractError("empty sentence")
-    types, rows, words = _word_types(token_lists, word_vocab, char_vocab, max_word_len)
-    return _grid_batch(types, rows, words, tag_ids)
+    """All of `token_lists` as one Batch (see `batches`)."""
+    return batches(token_lists, [range(len(token_lists))], word_vocab, char_vocab,
+                   max_word_len, tag_ids)[0]
 
 
 def lm_batches(corpus, vocab, char_vocab, batch_size, max_word_len, seed=0):
-    """Shuffle, length-bucket and pad sentences into Batches with LM targets.
-    The corpus's types are mapped once; each batch gathers from them."""
+    """Shuffle, length-bucket and pad sentences into Batches with LM targets."""
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
     sentences = [s for s in corpus if s]
-    types, char_rows, words = _word_types(sentences, vocab, char_vocab, max_word_len)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(sentences))
-    shuffled = [types[i] for i in order]
-    shuffled.sort(key=len)  # stable: equal lengths keep shuffled order
-    chunks = [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
-    chunk_order = rng.permutation(len(chunks))
+    # stable sort: equal lengths keep their shuffled order
+    order = sorted(rng.permutation(len(sentences)).tolist(),
+                   key=lambda i: len(sentences[i]))
+    chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+    chunks = [chunks[ci] for ci in rng.permutation(len(chunks))]
 
-    batches = []
-    for ci in chunk_order:
-        batch = _grid_batch(chunks[ci], char_rows, words)
+    out = batches(sentences, chunks, vocab, char_vocab, max_word_len)
+    for batch in out:
         ids, real = batch.word_ids, batch.mask == 1.0
-        rows = np.arange(len(ids))
-        last = batch.lengths - 1
         fwd = np.full_like(ids, PAD)
         fwd[:, :-1] = ids[:, 1:]
-        fwd[rows, last] = EOS
+        fwd[np.arange(len(ids)), batch.lengths - 1] = EOS
         bwd = np.full_like(ids, BOS)
         bwd[:, 1:] = ids[:, :-1]
         bwd[~real] = PAD
         batch.fwd_targets, batch.bwd_targets = fwd, bwd
-        batches.append(batch)
-    return batches
+    return out

@@ -7,19 +7,20 @@ and decodes with Viterbi.  Training and tagging run on padded batches of
 sentences; one sentence is a batch of one.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import bilm as bilm_mod
+from . import evaluation
 from .autodiff import Tensor
 # not called here: kept only because bench/tracing.py wraps them on tagger
 from .autodiff import clip_by_global_norm, reverse_gradients
 from .bilm import BiLMConfig, contextual_states, params_from_tensors, tensors_from_params
 from .checkpoint import Checkpoint
-from .corpus import (Batch, LabeledSequence, UNK, Vocabulary, build_vocab, pad_batch,
-                     validate_bio)
+from .corpus import Batch, LabeledSequence, UNK, Vocabulary, batches, build_vocab, validate_bio
 from .errors import ContractError, DataError, TransferError
 
 FORBIDDEN = -1e4  # fixed score of BIO-illegal transitions
@@ -371,64 +372,45 @@ class TaggerModel:
         mask = self._trans_mask
         return trans * mask + (1.0 - mask) * FORBIDDEN
 
-    def batch(self, sentences, rng=None, singletons=()):
+    def batches(self, sentences, chunks):
         """Token lists, or LabeledSequences with their tags, padded into one
-        Batch.  With `rng`, each word in `singletons` is swapped for UNK
-        with probability `unk_rate`, one draw per position."""
+        Batch per chunk of sentence indices (see `corpus.batches`)."""
         labeled = bool(sentences) and isinstance(sentences[0], LabeledSequence)
         tokens = [s.tokens for s in sentences] if labeled else sentences
         tags = [[self.labels.id(t) for t in s.tags] for s in sentences] if labeled else None
+        chars = max_len = None
         if self.provider:
-            batch = pad_batch(tokens, self.word_vocab, self.provider.char_vocab,
-                              self.provider.config.encoder.max_word_len, tags)
-        else:
-            batch = pad_batch(tokens, self.word_vocab, tag_ids=tags)
-        if rng is not None and self.config.unk_rate > 0.0 and singletons:
-            T = batch.mask.shape[1]
-            noise = np.array([[t in singletons for t in s] + [False] * (T - len(s))
-                              for s in tokens])
-            swap = noise & (rng.random(noise.shape) < self.config.unk_rate)
-            batch.word_ids = np.where(swap, UNK, batch.word_ids)
-        return batch
+            chars, max_len = self.provider.char_vocab, self.provider.config.encoder.max_word_len
+        return batches(tokens, chunks, self.word_vocab, chars, max_len, tags)
 
-    def emissions(self, tokens, train_mode=False, rng=None):
+    def emissions(self, tokens, rng=None):
         """Per-token label scores (a graph Tensor): [T, |labels|] for one
-        token list, [B, T, |labels|] for a Batch."""
-        batch = tokens if isinstance(tokens, Batch) else self.batch([tokens])
+        token list, [B, T, |labels|] for a Batch.  With `rng`, dropout
+        masks the contextual vectors."""
+        batch = tokens if isinstance(tokens, Batch) else self.batches([tokens], [[0]])[0]
         emb_matrix = self.params["tagger.word_emb"]
         if self.config.freeze_word_emb:
             emb_matrix = ad.constant(emb_matrix.data)
         x = ad.getitem(emb_matrix, batch.word_ids)
         if self.provider:
             ctx = contextual_states(batch, self.provider.params, self.provider.config)
-            if train_mode and self.config.dropout > 0.0:
-                if rng is None:
-                    raise ContractError("train_mode dropout needs an rng")
+            if rng is not None and self.config.dropout > 0.0:
                 keep = 1.0 - self.config.dropout
                 mask = (rng.random(ctx.data.shape) < keep) / keep
                 ctx = ctx * mask
             x = ad.concat([x, ctx], axis=2)
         for layer in range(self.config.layers):
-            fwd = bilm_mod.lstm_forward(
-                x, batch.mask, self.params[f"tagger.l{layer}.fwd.Wx"],
-                self.params[f"tagger.l{layer}.fwd.Wh"],
-                self.params[f"tagger.l{layer}.fwd.b"], reverse=False)
-            bwd = bilm_mod.lstm_forward(
-                x, batch.mask, self.params[f"tagger.l{layer}.bwd.Wx"],
-                self.params[f"tagger.l{layer}.bwd.Wh"],
-                self.params[f"tagger.l{layer}.bwd.b"], reverse=True)
-            x = ad.concat([fwd, bwd], axis=2)
+            x = ad.concat([bilm_mod.lstm_layer(x, batch.mask, self.params,
+                                               f"tagger.l{layer}.{d}", d == "bwd")
+                           for d in bilm_mod.DIRECTIONS], axis=2)
         em = ad.matmul(x, self.params["tagger.emission.W"]) \
             + self.params["tagger.emission.b"]
         return em if isinstance(tokens, Batch) else ad.reshape(em, em.data.shape[1:])
 
-    def sentence_loss(self, sentences, train_mode=True, rng=None, singletons=()):
-        """Summed NLL of one LabeledSequence or a list of them, computed as
-        one padded batch; `rng` and `singletons` as in `batch`."""
-        if isinstance(sentences, LabeledSequence):
-            sentences = [sentences]
-        batch = self.batch(sentences, rng if train_mode else None, singletons)
-        em = self.emissions(batch, train_mode=train_mode, rng=rng)
+    def sentence_loss(self, batch, rng=None):
+        """Summed NLL of a Batch of tagged sentences; `rng` as in
+        `emissions`."""
+        em = self.emissions(batch, rng)
         if self.config.head == "crf":
             trans = self.transitions_used()
             return (crf_log_partition(em, trans, batch.mask)
@@ -437,18 +419,16 @@ class TaggerModel:
         return -(ad.log_softmax(em, axis=-1) * gold).sum()
 
     def decode(self, sentences):
-        """Labels of one token list, or a list of label lists for a list of
-        token lists, decoded as one padded batch without recording a graph."""
-        single = not sentences or isinstance(sentences[0], str)
+        """Label lists of a list of token lists, decoded as one padded batch
+        without recording a graph."""
         with ad.no_grad():
-            batch = self.batch([sentences] if single else sentences)
+            batch = self.batches(sentences, [range(len(sentences))])[0]
             em = self.emissions(batch).data
             if self.config.head == "crf":
                 ids = viterbi_decode(em, self.transitions_used().data, batch.mask)
             else:
                 ids = [row[:n].tolist() for row, n in zip(em.argmax(axis=2), batch.lengths)]
-        tags = [[self.labels.label(i) for i in row] for row in ids]
-        return tags[0] if single else tags
+        return [[self.labels.label(i) for i in row] for row in ids]
 
     def trainable_params(self):
         params = {n: p for n, p in self.params.items()
@@ -527,10 +507,9 @@ def _token_accuracy(gold, pred):
 
 
 def _dev_score(model, dev):
-    from .evaluation import span_f1
     pred = predict(dev, model)
     if model.config.head == "crf":
-        return span_f1(dev, pred).micro_f1
+        return evaluation.span_f1(dev, pred).micro_f1
     return _token_accuracy(dev, pred)
 
 
@@ -567,9 +546,11 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
                 f"shape {model.params['tagger.word_emb'].data.shape}")
         model.params["tagger.word_emb"].data[:] = word_vectors
 
-    from collections import Counter
+    # word ids of the training set's singletons, which are swapped for UNK
     counts = Counter(t for s in train for t in s.tokens)
-    singletons = {t for t, c in counts.items() if c == 1}
+    single = np.zeros(len(word_vocab), dtype=bool)
+    single[[word_vocab.id(t) for t, c in counts.items() if c == 1]] = True
+    swap_unk = config.unk_rate > 0.0 and single.any()
 
     trainable = model.trainable_params()
     step = bilm_mod.training_step(trainable, provider.params if provider else {},
@@ -582,9 +563,13 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
         rng = np.random.default_rng(seed * 99991 + epoch)
         order = rng.permutation(len(train))
         total = 0.0
-        for lo in range(0, len(order), batch_size):
-            batch = [train[i] for i in order[lo:lo + batch_size]]
-            nll = model.sentence_loss(batch, rng=rng, singletons=singletons)
+        for batch in model.batches(train, [order[lo:lo + batch_size]
+                                           for lo in range(0, len(order), batch_size)]):
+            if swap_unk:
+                swap = single[batch.word_ids] & (batch.mask == 1.0) \
+                    & (rng.random(batch.mask.shape) < config.unk_rate)
+                batch.word_ids = np.where(swap, UNK, batch.word_ids)
+            nll = model.sentence_loss(batch, rng)
             total += float(nll.data)
             step(nll / len(batch))
         epochs_run = epoch + 1

@@ -95,6 +95,24 @@ def test_tagger_training_and_tagging_run_through_the_wrappers(tracing):
     assert ratios["crf", "tagger.sentence_loss"] > 0.0
 
 
+def test_sentence_loss_gets_a_batch_whose_len_is_its_sentence_count(tracing,
+                                                                    monkeypatch):
+    """The `tagger_loss` hook reads len(args[1]) as the sentence count."""
+    corpus = toy_ner_corpus(8)
+    sizes, loss = [], tg.TaggerModel.sentence_loss
+
+    def spy(model, batch, rng=None):
+        sizes.append((len(batch), batch.mask.shape[0]))
+        return loss(model, batch, rng)
+    monkeypatch.setattr(tg.TaggerModel, "sentence_loss", spy)
+    tracer = tracing.Tracer(seed=0)
+    with tracer.phase("train_ner"):
+        tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus), tiny_tagger_config(),
+                        epochs=1, batch_size=3, seed=0)
+    assert sizes == [(3, 3), (3, 3), (2, 2)]
+    assert tracer.counts["tagger_node_tokens"] == 3   # the first loss's graph walk
+
+
 def test_lm_training_runs_through_the_wrappers(tracing):
     tokens = [s.tokens for s in toy_ner_corpus(8)]
     vocab, chars = build_vocab(tokens), build_char_vocab(tokens)

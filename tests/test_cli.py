@@ -86,6 +86,22 @@ class TestExitCodes:
         assert code == 1
         capsys.readouterr()
 
+    def test_malformed_conll_names_file_and_line(self, ws, capsys):
+        bad = ws / "bad.conll"
+        bad.write_text("a O\nb\n\n")
+        assert _run(["evaluate", "--gold", bad, "--pred", ws / "test.conll"]) == 1
+        assert f"error: {bad}:2: expected a token and a tag column" \
+            in capsys.readouterr().err
+
+    def test_malformed_vectors_name_file_and_line(self, ws, capsys):
+        bad = ws / "bad.vec"
+        bad.write_text("alice 1 2\n")
+        assert _run(["train-ner", "--config", ws / "tiny.cfg", "--train",
+                     ws / "train.conll", "--vectors", bad, "--epochs", 1,
+                     "--out", ws / "out.ckpt"]) == 1
+        assert f"error: {bad}:1: expected 10 floats, found 2" in capsys.readouterr().err
+        assert not (ws / "out.ckpt").exists()
+
     def test_malformed_checkpoint_is_1(self, ws, capsys):
         (ws / "bad.ckpt").write_bytes(b"SEQXFER1\nnot-a-length\n{}")
         code = _run(["finetune-lm", "--init", ws / "bad.ckpt",

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +23,14 @@ class TestReadConll:
         assert len(cp.read_conll(io.StringIO(text))) == 2
 
     def test_missing_column_reports_line(self):
-        with pytest.raises(ParseError, match="line 1"):
-            cp.read_conll(io.StringIO("John\n"), token_col=0, tag_col=1)
+        with pytest.raises(ParseError, match="^line 1: "):
+            cp.read_conll(io.StringIO("John\n"))
+
+    def test_missing_column_in_a_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.conll"
+        path.write_text("a O\nJohn\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "):
+            cp.read_conll(path)
 
     def test_empty_file(self):
         assert cp.read_conll(io.StringIO("")) == []
@@ -148,6 +155,13 @@ class TestWordVectors:
         v = cp.build_vocab([["a"]])
         with pytest.raises(ParseError, match="line 1"):
             cp.load_word_vectors(io.StringIO("a x y\n"), v, 2)
+
+    @pytest.mark.parametrize("text, line", [("a 1 2\nb 3\n", 2), ("a x y\n", 1)])
+    def test_errors_in_a_file_name_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.vec"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: "):
+            cp.load_word_vectors(str(path), cp.build_vocab([["a"]]), 2)
 
     def test_missing_words_seeded(self):
         v = cp.build_vocab([["a", "b"]])

@@ -250,6 +250,50 @@ def test_pinned_training_digest(make, seed, digest):
     assert make(seed) == digest
 
 
+def _digest_tagger_unk_provider(seed):
+    """Singleton -> UNK swaps and dropout over a provider, anchored."""
+    corpus = toy_ner_corpus(8)
+    chars, config = build_char_vocab([s.tokens for s in corpus]), tiny_bilm_config()
+    provider = tg.ContextualProvider(
+        bilm.init_bilm_params(config, len(chars), 6, seed), config, chars)
+    model, metrics = tg.train_tagger(
+        corpus, tg.LabelSet.from_sequences(corpus),
+        tiny_tagger_config(dropout=0.2, unk_rate=0.3, anchor_coeff=0.01),
+        epochs=2, batch_size=3, lr=0.01, seed=seed, provider=provider, dev=corpus[:3])
+    return model.to_checkpoint(metrics=metrics).digest()
+
+
+def _digest_tagger_unk_softmax(seed):
+    corpus = toy_ner_corpus(12)
+    model, metrics = tg.train_tagger(
+        corpus, tg.LabelSet.from_sequences(corpus, bio=False),
+        tiny_tagger_config(head="softmax", unk_rate=0.5), epochs=2, batch_size=5,
+        lr=0.05, seed=seed)
+    return model.to_checkpoint(metrics=metrics).digest()
+
+
+# Tagger runs with unk_rate > 0.  The provider runs draw the singleton ->
+# UNK swap and dropout, and pin the order of those draws; toy_ner_corpus(12)
+# holds no singleton, so the softmax runs draw no swap.  Same BLAS caveat
+# as above.
+PINNED_UNK_SWAP = [
+    (_digest_tagger_unk_provider, 0,
+     "92f74ec33b926445a68275e929b31d9f178c4eb91f20f98aeb36eb48e900842a"),
+    (_digest_tagger_unk_provider, 7,
+     "fcb72e9b4a37f986845858d7106cf7d904db6c2496be47ecc0a52c19abceb795"),
+    (_digest_tagger_unk_softmax, 0,
+     "c3c1d48c508873cd00b743afc310bbdd06edc0873203223d625ce0117481feb7"),
+    (_digest_tagger_unk_softmax, 7,
+     "e3056be1a9d1467a4c1179e913ff14d317ce25aba6820843fb3cbb8cf0356b4e"),
+]
+
+
+@pytest.mark.parametrize("make, seed, digest", PINNED_UNK_SWAP,
+                         ids=[f"{m.__name__[8:]}-seed{s}" for m, s, _ in PINNED_UNK_SWAP])
+def test_pinned_unk_swap_digest(make, seed, digest):
+    assert make(seed) == digest
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fused_head_trains_as_the_unfused_one(seed):
     fused = _train_lm(seed)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from seqxfer import autodiff as ad
 from seqxfer import tagger as tg
 from seqxfer.checkpoint import Checkpoint
-from seqxfer.corpus import LabeledSequence, build_vocab
+from seqxfer.corpus import UNK, LabeledSequence, build_vocab
 from seqxfer.errors import ContractError, DataError
 
 from conftest import tanh, tiny_tagger_config, toy_ner_corpus
@@ -309,7 +310,7 @@ class TestTaggerModel:
         labels = tg.LabelSet.from_sequences(corpus)
         vocab = build_vocab([s.tokens for s in corpus])
         model = tg.TaggerModel.init(tiny_tagger_config(), vocab, labels, seed=0)
-        tags = model.decode(corpus[0].tokens)
+        tags, = model.decode([corpus[0].tokens])
         assert len(tags) == len(corpus[0])
         assert all(t in labels for t in tags)
 
@@ -318,15 +319,24 @@ class TestTaggerModel:
         labels = tg.LabelSet.from_sequences(corpus)
         vocab = build_vocab([s.tokens for s in corpus])
         model = tg.TaggerModel.init(tiny_tagger_config(), vocab, labels, seed=0)
-        with pytest.raises(ContractError):
-            model.decode([])
+        for sentences in ([], [corpus[0].tokens, []]):
+            with pytest.raises(ContractError):
+                model.decode(sentences)
+
+    def test_bare_token_list_rejected(self):
+        corpus = toy_ner_corpus(4)
+        model = tg.TaggerModel.init(tiny_tagger_config(),
+                                    build_vocab([s.tokens for s in corpus]),
+                                    tg.LabelSet.from_sequences(corpus), seed=0)
+        with pytest.raises(ContractError, match="not a nonempty token list"):
+            model.decode(corpus[0].tokens)
 
     def test_forbidden_transitions_have_zero_gradient(self):
         corpus = toy_ner_corpus(4)
         labels = tg.LabelSet(["O", "B-PER", "I-PER", "B-LOC"])
         vocab = build_vocab([s.tokens for s in corpus])
         model = tg.TaggerModel.init(tiny_tagger_config(), vocab, labels, seed=0)
-        loss = model.sentence_loss(corpus[0], train_mode=False)
+        loss = model.sentence_loss(model.batches(corpus, [[0]])[0])
         grads = ad.reverse_gradients(loss, {"tr": model.params["tagger.crf.trans"]})
         illegal = model._trans_mask == 0
         assert np.all(grads["tr"][illegal] == 0.0)
@@ -340,7 +350,7 @@ class TestTaggerModel:
         em = model.emissions(corpus[0].tokens).data
         logp = em - np.log(np.exp(em).sum(axis=1, keepdims=True))
         want = -sum(logp[i, labels.id(t)] for i, t in enumerate(corpus[0].tags))
-        got = float(model.sentence_loss(corpus[0], train_mode=False).data)
+        got = float(model.sentence_loss(model.batches(corpus, [[0]])[0]).data)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_checkpoint_round_trip_preserves_decisions(self):
@@ -350,8 +360,8 @@ class TestTaggerModel:
                                    epochs=3, batch_size=4, seed=1)
         ck = model.to_checkpoint()
         again = tg.TaggerModel.from_checkpoint(ck)
-        for sent in corpus:
-            assert model.decode(sent.tokens) == again.decode(sent.tokens)
+        tokens = [s.tokens for s in corpus]
+        assert model.decode(tokens) == again.decode(tokens)
 
     def test_unknown_head_in_saved_checkpoint_is_named(self, tmp_path):
         corpus = toy_ner_corpus(4)
@@ -496,11 +506,11 @@ class TestBatching:
     def test_batch_loss_is_sum_of_sentence_losses(self, head, with_provider):
         model, corpus = batching_model(head, with_provider)
         params = model.trainable_params()
-        batch_loss = model.sentence_loss(corpus, train_mode=False)
+        batch_loss = model.sentence_loss(model.batches(corpus, [range(len(corpus))])[0])
         got = ad.reverse_gradients(batch_loss, params)
         total, want = 0.0, {n: np.zeros_like(p.data) for n, p in params.items()}
-        for sent in corpus:
-            loss = model.sentence_loss(sent, train_mode=False)
+        for one in model.batches(corpus, [[i] for i in range(len(corpus))]):
+            loss = model.sentence_loss(one)
             total += float(loss.data)
             for n, g in ad.reverse_gradients(loss, params).items():
                 want[n] += g
@@ -522,24 +532,32 @@ class TestBatching:
 
     def test_emissions_of_one_sentence_are_its_batch_row(self):
         model, corpus = batching_model("crf", True)
-        batch = model.batch(corpus)
+        batch = model.batches(corpus, [range(len(corpus))])[0]
         em = model.emissions(batch).data
         for b, sent in enumerate(corpus):
             one = model.emissions(sent.tokens).data
             assert one.shape == (len(sent), len(model.labels))
             assert np.abs(em[b, :len(sent)] - one).max() <= 1e-12
 
-    def test_unk_swap_draws_per_batch_position(self):
-        model, corpus = batching_model("crf", False)
-        model.config.unk_rate = 0.5
-        rng = np.random.default_rng(0)
-        batch = model.batch(corpus, rng=rng, singletons={"alice", "to"})
-        plain = model.batch(corpus)
-        swapped = batch.word_ids != plain.word_ids
-        assert swapped.any()
-        words = np.array([s.tokens + [""] * (7 - len(s)) for s in corpus])
-        assert np.isin(words[swapped], ["alice", "to"]).all()
-        assert (batch.word_ids[swapped] == 1).all()   # UNK
+    def test_trainer_swaps_only_singletons_for_unk(self, monkeypatch):
+        corpus = mixed_length_corpus()
+        built, batches = [], tg.TaggerModel.batches
+
+        def spy(model, sentences, chunks):
+            out = batches(model, sentences, chunks)
+            built.extend((c, b, b.word_ids.copy()) for c, b in zip(chunks, out))
+            return out
+        monkeypatch.setattr(tg.TaggerModel, "batches", spy)
+        tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus),
+                        tiny_tagger_config(unk_rate=0.5), epochs=1, batch_size=4, seed=0)
+        counts = Counter(t for s in corpus for t in s.tokens)
+        swapped_words = []
+        for chunk, batch, plain in built:
+            swapped = batch.word_ids != plain
+            assert (batch.word_ids[swapped] == UNK).all()
+            swapped_words += [corpus[chunk[b]].tokens[t] for b, t in zip(*np.nonzero(swapped))]
+        assert len(built) == 2 and swapped_words
+        assert all(counts[w] == 1 for w in swapped_words)
 
 
 class TestNoGrad:
@@ -579,5 +597,5 @@ class TestNoGrad:
         model.decode([s.tokens for s in corpus])
         tg.predict(corpus, model)
         assert built and not any(built)
-        model.sentence_loss(corpus[0], train_mode=False)
+        model.sentence_loss(model.batches(corpus, [[0]])[0])
         assert any(built)
