@@ -18,4 +18,4 @@ from .transfer import (TransferPolicy, TransferReport, build_shared_char_vocab,
                        map_label_space, transfer_init)
 from .bilm import (BiLMConfig, bilm_loss, contextual_repr, perplexity,
                    replace_vocab_head, train_lm)
-from .encoder import CharEncoderConfig, highway_forward
+from .encoder import CharEncoderConfig

@@ -26,14 +26,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
@@ -213,24 +205,6 @@ def tsum(x, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         x._accum(np.broadcast_to(g, x.data.shape))
     return node(x.data.sum(axis=axis, keepdims=keepdims), (x,), _bw)
-
-
-def sigmoid(x):
-    x = _as_tensor(x)
-    # 0.5*(tanh(x/2)+1) is overflow-safe for large |x|
-    s = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-    def _bw(g):
-        x._accum(g * s * (1.0 - s))
-    return node(s, (x,), _bw)
-
-
-def log_softmax(x, axis=-1):
-    x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    y = x.data - (m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True)))
-    def _bw(g):
-        x._accum(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
-    return node(y, (x,), _bw)
 
 
 # reverse pass -------------------------------------------------------

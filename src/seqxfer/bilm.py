@@ -104,9 +104,9 @@ def architecture(config, n_chars, n_words):
 def _gate_constants(H):
     """Per-column (scale, shift) such that scale*tanh(scale*z) + shift maps
     the [i, f, g, o] pre-activations to sigmoid(i), sigmoid(f), tanh(g),
-    sigmoid(o) with one tanh.  A sigmoid is 0.5*(tanh(0.5x)+1), as in
-    `ad.sigmoid`; scaling by 0.5 commutes with rounding, so each gate
-    equals its unfused value bit for bit."""
+    sigmoid(o) with one tanh.  A sigmoid is 0.5*(tanh(0.5x)+1), as in the
+    highway gates of `encode_char_matrix`; scaling by 0.5 commutes with
+    rounding, so each gate equals its unfused value bit for bit."""
     half = np.full(H, 0.5)
     return (np.concatenate([half, half, np.ones(H), half]),
             np.concatenate([half, half, np.zeros(H), half]))
@@ -204,27 +204,27 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     return ad.node(hs, (xs, Wx, Wh, b), _bw)
 
 
-def encode_batch_words(batch, params, config):
-    """Unique-word char encoding gathered back to [B, T, d_out]."""
-    B, T = batch.word_index.shape
-    enc = encode_char_matrix(batch.uniq_char_ids, params, config.encoder)
-    x = ad.getitem(enc, batch.word_index.reshape(-1))
-    return ad.reshape(x, (B, T, config.d_out))
-
-
 def lstm_layer(x, mask, params, base, reverse):
     """`lstm_forward` with the weights params[base + ".Wx" / ".Wh" / ".b"]."""
     return lstm_forward(x, mask, params[f"{base}.Wx"], params[f"{base}.Wh"],
                         params[f"{base}.b"], reverse=reverse)
 
 
-def run_direction(x, mask, params, config, direction):
-    """One direction's LSTM stack; each layer projects back to d_out."""
-    for layer in range(config.lm_layers):
-        base = f"lm.{direction}.l{layer}"
-        h = lstm_layer(x, mask, params, base, direction == "bwd")
-        x = ad.matmul(h, params[f"{base}.proj.W"]) + params[f"{base}.proj.b"]
-    return x
+def bilm_states(batch, params, config):
+    """Last-layer [fwd, bwd] states, each [B, T, d_out], of a padded Batch.
+    Each distinct word is char-encoded once, then each direction runs its
+    LSTM stack, every layer projecting back to d_out."""
+    enc = encode_char_matrix(batch.uniq_char_ids, params, config.encoder)
+    x = ad.getitem(enc, batch.word_index)
+    states = []
+    for direction in DIRECTIONS:
+        h = x
+        for layer in range(config.lm_layers):
+            base = f"lm.{direction}.l{layer}"
+            h = lstm_layer(h, batch.mask, params, base, direction == "bwd")
+            h = ad.matmul(h, params[f"{base}.proj.W"]) + params[f"{base}.proj.b"]
+        states.append(h)
+    return states
 
 
 def _nll_sum(states, targets, mask, params):
@@ -262,9 +262,7 @@ def bilm_loss_parts(batch, params, config):
     count = batch.n_tokens
     if count == 0:
         raise ContractError("empty LM batch")
-    x = encode_batch_words(batch, params, config)
-    fwd_states = run_direction(x, batch.mask, params, config, "fwd")
-    bwd_states = run_direction(x, batch.mask, params, config, "bwd")
+    fwd_states, bwd_states = bilm_states(batch, params, config)
     fwd = _nll_sum(fwd_states, batch.fwd_targets, batch.mask, params)
     bwd = _nll_sum(bwd_states, batch.bwd_targets, batch.mask, params)
     return fwd, bwd, count
@@ -277,12 +275,8 @@ def bilm_loss(batch, params, config):
 
 
 def contextual_states(batch, params, config):
-    """Last-layer forward and backward states of a padded Batch,
-    [B, T, 2*d_out]; each distinct word is char-encoded once."""
-    x = encode_batch_words(batch, params, config)
-    fwd = run_direction(x, batch.mask, params, config, "fwd")
-    bwd = run_direction(x, batch.mask, params, config, "bwd")
-    return ad.concat([fwd, bwd], axis=2)
+    """`bilm_states` side by side, [B, T, 2*d_out]."""
+    return ad.concat(bilm_states(batch, params, config), axis=2)
 
 
 def contextual_repr(sentence, params, config, char_vocab):
@@ -390,10 +384,9 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
                              seed=seed * 100003 + epoch)
         total, count = 0.0, 0
         for batch in batches:
-            fwd, bwd, n = bilm_loss_parts(batch, params, config)
-            loss = (fwd + bwd) / (2.0 * n)
-            total += float(loss.data) * n
-            count += n
+            loss = bilm_loss(batch, params, config)
+            total += float(loss.data) * batch.n_tokens
+            count += batch.n_tokens
             step(loss)
         epoch_losses.append(total / count)
         if log_fn:

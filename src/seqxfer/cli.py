@@ -234,10 +234,23 @@ def cmd_finetune_lm(args, cfg):
     return 0
 
 
+def _read_eval_set(path, bio):
+    """The CoNLL file at `path`, read before any training; with `bio`, an
+    illegal tag run is a DataError naming the file."""
+    sentences = corpus_mod.read_conll(path)
+    if bio:
+        try:
+            corpus_mod.validate_bio(sentences)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+    return sentences
+
+
 def _train_tagger_common(args, cfg, head):
     train = corpus_mod.read_conll(args.train)
-    dev = corpus_mod.read_conll(args.dev) if args.dev else None
     bio = head == "crf"
+    dev, test = (_read_eval_set(path, bio) if path else None
+                 for path in (args.dev, args.test))
     labels = tagger_mod.LabelSet.from_sequences(train, bio=bio)
     word_vocab = corpus_mod.build_vocab([s.tokens for s in train],
                                         min_count=cfg.min_count)
@@ -272,8 +285,7 @@ def _train_tagger_common(args, cfg, head):
     _emit(f"checkpoint {args.out}")
     if report is not None:
         Path(str(args.out) + ".report.txt").write_text(report.to_text())
-    if args.test:
-        test = corpus_mod.read_conll(args.test)
+    if test is not None:
         pred = tagger_mod.predict(test, model)
         if bio:
             print(evaluation.span_f1(test, pred).to_kv(), end="")

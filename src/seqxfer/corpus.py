@@ -292,6 +292,8 @@ def load_word_vectors(source, vocab, dim, seed=0):
             vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"{_where(source, lineno)}: {exc}") from exc
+        if not np.isfinite(vec).all():
+            raise ParseError(f"{_where(source, lineno)}: expected {dim} finite floats")
         if word in vocab:
             matrix[vocab.id(word)] = vec
             found.add(word)

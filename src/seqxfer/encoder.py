@@ -82,18 +82,6 @@ def char_encoder_table(config, n_chars):
                     ("char_enc.proj.b", (config.d_out,), 0.0)]
 
 
-def highway_forward(x, WT, bT, WH, bH):
-    """x_next = T (.) (WH x + bH) + (1 - T) (.) x with gate T = sigma(WT x + bT)."""
-    WT, WH = ad._as_tensor(WT), ad._as_tensor(WH)
-    x = ad._as_tensor(x)
-    if x.data.shape[-1] != WT.data.shape[0]:
-        raise ContractError(
-            f"highway input dim {x.data.shape[-1]} != layer dim {WT.data.shape[0]}")
-    gate = ad.sigmoid(ad.matmul(x, WT) + bT)
-    transform = ad.matmul(x, WH) + bH
-    return gate * transform + (1.0 - gate) * x
-
-
 def char_cnn(ids, params, config):
     """Max-pooled convolution features [U, pooled_dim] of padded char-id
     rows [U, L], as one graph node over the embedding and every width's
@@ -175,11 +163,34 @@ def char_cnn(ids, params, config):
 
 def encode_char_matrix(ids, params, config):
     """Encode a batch of padded char-id rows [U, L] into vectors [U, d_out]:
-    the fused char-CNN node, then highway layers and a projection."""
+    the fused char-CNN node, then one node for the highway layers and the
+    projection.  A layer maps h to T (.) (h WH + bH) + (1 - T) (.) h with
+    the gate T = sigmoid(h WT + bT); the backward groups each sum as the
+    unfused graph did, so its gradients equal that graph's bit for bit."""
     x = char_cnn(ids, params, config)
-    for layer in range(config.highway_layers):
-        x = highway_forward(
-            x,
-            params[f"char_enc.hw{layer}.WT"], params[f"char_enc.hw{layer}.bT"],
-            params[f"char_enc.hw{layer}.WH"], params[f"char_enc.hw{layer}.bH"])
-    return ad.matmul(x, params["char_enc.proj.W"]) + params["char_enc.proj.b"]
+    W, b = params["char_enc.proj.W"], params["char_enc.proj.b"]
+    layers = [tuple(params[f"char_enc.hw{layer}.{k}"] for k in ("WT", "bT", "WH", "bH"))
+              for layer in range(config.highway_layers)]
+    h, saved = x.data, []     # saved: (layer input, gate, transform) per layer
+    for WT, bT, WH, bH in layers:
+        gate = 0.5 * (np.tanh(0.5 * (h @ WT.data + bT.data)) + 1.0)
+        transform = h @ WH.data + bH.data
+        saved.append((h, gate, transform))
+        h = gate * transform + (1.0 - gate) * h
+
+    def _bw(g):
+        grads = [(W, h.T @ g), (b, g.sum(axis=0))]
+        dh = g @ W.data.T
+        for (WT, bT, WH, bH), (h_in, gate, transform) in zip(reversed(layers),
+                                                               reversed(saved)):
+            dz = dh * gate
+            da = (dh * transform - dh * h_in) * gate * (1.0 - gate)
+            grads += [(WT, h_in.T @ da), (bT, da.sum(axis=0)),
+                      (WH, h_in.T @ dz), (bH, dz.sum(axis=0))]
+            dh = dz @ WH.data.T + dh * (1.0 - gate)
+            dh += da @ WT.data.T
+        for p, d in grads + [(x, dh)]:
+            if p.requires_grad:
+                p._accum(d)
+    parents = [x, W, b] + [p for layer in layers for p in layer]
+    return ad.node(h @ W.data + b.data, parents, _bw)

@@ -367,7 +367,11 @@ class TaggerModel:
 
     def transitions_used(self):
         """Learned transitions with BIO-illegal entries clamped at FORBIDDEN;
-        the clamp also zeroes their gradient."""
+        the clamp also zeroes their gradient.  A softmax head's are constant
+        zeros, which make its CRF loss the per-position cross-entropy."""
+        if self.config.head != "crf":
+            m = len(self.labels)
+            return ad.constant(np.zeros((m + 2, m + 2)))
         trans = self.params["tagger.crf.trans"]
         mask = self._trans_mask
         return trans * mask + (1.0 - mask) * FORBIDDEN
@@ -411,12 +415,9 @@ class TaggerModel:
         """Summed NLL of a Batch of tagged sentences; `rng` as in
         `emissions`."""
         em = self.emissions(batch, rng)
-        if self.config.head == "crf":
-            trans = self.transitions_used()
-            return (crf_log_partition(em, trans, batch.mask)
-                    - crf_sequence_score(em, trans, batch.tag_ids, batch.mask)).sum()
-        gold = one_hot(batch.tag_ids, batch.mask, len(self.labels))
-        return -(ad.log_softmax(em, axis=-1) * gold).sum()
+        trans = self.transitions_used()
+        return (crf_log_partition(em, trans, batch.mask)
+                - crf_sequence_score(em, trans, batch.tag_ids, batch.mask)).sum()
 
     def decode(self, sentences):
         """Label lists of a list of token lists, decoded as one padded batch
@@ -426,7 +427,7 @@ class TaggerModel:
             em = self.emissions(batch).data
             if self.config.head == "crf":
                 ids = viterbi_decode(em, self.transitions_used().data, batch.mask)
-            else:
+            else:   # argmax per position: Viterbi's running sums could merge near-ties
                 ids = [row[:n].tolist() for row, n in zip(em.argmax(axis=2), batch.lengths)]
         return [[self.labels.label(i) for i in row] for row in ids]
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny model configs and synthetic corpora."""
+"""Shared fixtures: tiny model configs and synthetic corpora, and the
+graph ops that only the unfused oracle graphs use."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from seqxfer import autodiff as ad
 from seqxfer.bilm import BiLMConfig
 from seqxfer.corpus import LabeledSequence
 from seqxfer.encoder import CharEncoderConfig
+from seqxfer.errors import ContractError
 from seqxfer.tagger import TaggerConfig
 
 
@@ -18,6 +20,36 @@ def tanh(x):
     def _bw(g):
         x._accum(g * (1.0 - y * y))
     return ad.node(y, (x,), _bw)
+
+
+def sigmoid(x):
+    x = ad._as_tensor(x)
+    # 0.5*(tanh(x/2)+1) is overflow-safe for large |x|
+    s = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
+    def _bw(g):
+        x._accum(g * s * (1.0 - s))
+    return ad.node(s, (x,), _bw)
+
+
+def log_softmax(x, axis=-1):
+    x = ad._as_tensor(x)
+    m = x.data.max(axis=axis, keepdims=True)
+    y = x.data - (m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True)))
+    def _bw(g):
+        x._accum(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+    return ad.node(y, (x,), _bw)
+
+
+def highway_forward(x, WT, bT, WH, bH):
+    """x_next = T (.) (WH x + bH) + (1 - T) (.) x with gate T = sigma(WT x + bT)."""
+    WT, WH = ad._as_tensor(WT), ad._as_tensor(WH)
+    x = ad._as_tensor(x)
+    if x.data.shape[-1] != WT.data.shape[0]:
+        raise ContractError(
+            f"highway input dim {x.data.shape[-1]} != layer dim {WT.data.shape[0]}")
+    gate = sigmoid(ad.matmul(x, WT) + bT)
+    transform = ad.matmul(x, WH) + bH
+    return gate * transform + (1.0 - gate) * x
 
 
 def tiny_encoder_config(**kw):

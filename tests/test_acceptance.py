@@ -116,23 +116,21 @@ def test_criterion_02_gradient_suite():
     results = {}
     rng = np.random.default_rng(0)
 
-    # highway layer (Eq. 1)
-    d = 6
-    x = ad.constant(rng.normal(size=(4, d)))
-    hw = {"WT": ad.parameter("WT", ad.seeded_init((d, d), 1)),
-          "bT": ad.parameter("bT", np.full(d, -1.0)),
-          "WH": ad.parameter("WH", ad.seeded_init((d, d), 2)),
-          "bH": ad.parameter("bH", np.zeros(d))}
+    # highway layer (Eq. 1): the encoder's tail node over one layer
+    cvocab = build_char_vocab([["alpha", "beta", "gamma"]])
+    cfg1 = tiny_encoder_config(highway_layers=1)
+    hw = ad.init_params(enc.char_encoder_table(cfg1, len(cvocab)), 1)
+    hw_rows = np.stack([char_id_row(w, cvocab, cfg1.max_word_len)
+                        for w in ("gamma", "beta", "alpha")])
 
     def hw_loss():
-        out = enc.highway_forward(x, hw["WT"], hw["bT"], hw["WH"], hw["bH"])
+        out = enc.encode_char_matrix(hw_rows, hw, cfg1)
         return (out * out).sum()
 
     results["highway"] = ad.finite_difference_check(hw_loss, hw, max_coords=100)
 
     # char-CNN encoder
     cfg = tiny_encoder_config()
-    cvocab = build_char_vocab([["alpha", "beta", "gamma"]])
     ep = ad.init_params(enc.char_encoder_table(cfg, len(cvocab)), 0)
     rows = np.stack([char_id_row(w, cvocab, cfg.max_word_len)
                      for w in ("alpha", "beta")])

@@ -10,7 +10,7 @@ from seqxfer import encoder as enc
 from seqxfer import tagger as tg
 from seqxfer.errors import ContractError, NumericError
 
-from conftest import tanh
+from conftest import log_softmax, sigmoid, tanh, tiny_encoder_config
 
 
 class TestReverseGradients:
@@ -59,7 +59,7 @@ class TestReverseGradients:
 
         def loss_fn():
             h = tanh(ad.matmul(x, W1))
-            h = ad.sigmoid(ad.matmul(h, W2) + b)
+            h = sigmoid(ad.matmul(h, W2) + b)
             return (h * h).sum()
 
         err = ad.finite_difference_check(loss_fn, {"W1": W1, "W2": W2, "b": b})
@@ -91,7 +91,7 @@ class TestOps:
 
     def test_log_softmax_rows_normalize(self):
         x = ad.constant(np.random.default_rng(3).normal(size=(5, 7)))
-        out = ad.log_softmax(x, axis=-1)
+        out = log_softmax(x, axis=-1)
         assert np.allclose(np.exp(out.data).sum(axis=-1), 1.0)
 
     def test_broadcast_add_unbroadcasts_gradient(self):
@@ -105,8 +105,11 @@ def _p(*shape):
     return ad.parameter("p", np.random.default_rng(0).uniform(0.5, 1.5, size=shape))
 
 
-# every primitive op and the fused LSTM, CRF, anchor-penalty, LM-head and
-# char-CNN ops, on inputs that require grad
+_ONE_LAYER = tiny_encoder_config(highway_layers=1, max_word_len=3)
+
+# every primitive op, the oracle graphs' ops and the fused LSTM, CRF,
+# anchor-penalty, LM-head, char-CNN and encoder-tail ops, on inputs that
+# require grad
 GRAPH_OPS = {
     "add": lambda: ad.add(_p(2, 3), _p(3)),
     "mul": lambda: ad.mul(_p(2, 3), _p(2, 3)),
@@ -116,8 +119,8 @@ GRAPH_OPS = {
     "concat": lambda: ad.concat([_p(2, 2), _p(2, 3)], axis=1),
     "tsum": lambda: ad.tsum(_p(2, 3), axis=0),
     "tanh": lambda: tanh(_p(2, 3)),
-    "sigmoid": lambda: ad.sigmoid(_p(2, 3)),
-    "log_softmax": lambda: ad.log_softmax(_p(2, 3), axis=-1),
+    "sigmoid": lambda: sigmoid(_p(2, 3)),
+    "log_softmax": lambda: log_softmax(_p(2, 3), axis=-1),
     "lstm_forward": lambda: bilm.lstm_forward(_p(2, 4, 3), np.ones((2, 4)),
                                               _p(3, 8), _p(2, 8), _p(8)),
     "crf_log_partition": lambda: tg.crf_log_partition(
@@ -131,6 +134,10 @@ GRAPH_OPS = {
          "char_enc.conv2.W": _p(4, 3), "char_enc.conv2.b": _p(3)},
         enc.CharEncoderConfig(d_char=2, filter_widths=(1, 2), filter_counts=(2, 3),
                               max_word_len=3)),
+    "encoder_tail": lambda: enc.encode_char_matrix(
+        np.array([[0, 0, 0], [2, 1, 3]]),
+        {k: _p(*shape) for k, shape, _ in enc.char_encoder_table(_ONE_LAYER, 4)},
+        _ONE_LAYER),
     "anchor_penalty": lambda: bilm.anchor_penalty(
         {"a": _p(2, 3), "b": _p(4)}, {"a": np.zeros((2, 3)), "b": np.ones(4)}, 0.5),
 }

@@ -10,7 +10,7 @@ from seqxfer.corpus import (build_char_vocab, build_vocab, char_id_row,
                             lm_batches)
 from seqxfer.errors import ContractError, TransferError
 
-from conftest import tanh, tiny_bilm_config
+from conftest import log_softmax, sigmoid, tanh, tiny_bilm_config
 
 SENTS = [["red", "fox", "ran"], ["blue", "fox", "sat", "down"], ["red", "owl"]]
 
@@ -54,10 +54,10 @@ def reference_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
         gates = ad.matmul(xs[:, t, :], Wx) + ad.matmul(h, Wh) + b
-        i = ad.sigmoid(gates[:, :H])
-        f = ad.sigmoid(gates[:, H:2 * H])
+        i = sigmoid(gates[:, :H])
+        f = sigmoid(gates[:, H:2 * H])
         g = tanh(gates[:, 2 * H:3 * H])
-        o = ad.sigmoid(gates[:, 3 * H:])
+        o = sigmoid(gates[:, 3 * H:])
         c_new = f * c + i * g
         h_new = o * tanh(c_new)
         m = mask[:, t:t + 1]
@@ -255,7 +255,7 @@ def reference_nll_sum(states, targets, mask, params):
     B, T, d = states.data.shape
     V = params["lm.head.W"].data.shape[0]
     logits = ad.matmul(states, transpose(params["lm.head.W"])) + params["lm.head.b"]
-    logp = ad.log_softmax(logits, axis=-1)
+    logp = log_softmax(logits, axis=-1)
     flat = ad.reshape(logp, (B * T, V))
     picked = flat[(np.arange(B * T), targets.reshape(-1))]
     return -(picked * mask.reshape(-1)).sum()

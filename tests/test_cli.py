@@ -102,6 +102,38 @@ class TestExitCodes:
         assert f"error: {bad}:1: expected 10 floats, found 2" in capsys.readouterr().err
         assert not (ws / "out.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_vectors_name_file_and_line(self, ws, capsys, value):
+        bad = ws / "bad.vec"
+        bad.write_text("went " + " ".join(["0.5"] * 10) + "\n"
+                       f"alice {' '.join(['0.5'] * 9)} {value}\n")
+        assert _run(["train-ner", "--config", ws / "tiny.cfg", "--train",
+                     ws / "train.conll", "--vectors", bad, "--epochs", 1,
+                     "--out", ws / "out.ckpt"]) == 1
+        out, err = capsys.readouterr()
+        assert f"error: {bad}:2: expected 10 finite floats" in err
+        assert "epoch=" not in out
+        assert not (ws / "out.ckpt").exists()
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("train-ner", "--dev", "alice B-PER\nwent\n\n"),
+        ("train-ner", "--test", "alice B-PER\nwent\n\n"),
+        ("train-ner", "--dev", "alice B-PER\nwent O\nto I-LOC\n\n"),
+        ("train-ner", "--test", "alice B-PER\nwent O\nto I-LOC\n\n"),
+        ("train-pos", "--dev", "alice B-PER\nwent\n\n"),
+        ("train-pos", "--test", "alice B-PER\nwent\n\n"),
+    ], ids=["ner-dev-column", "ner-test-column", "ner-dev-bio", "ner-test-bio",
+            "pos-dev-column", "pos-test-column"])
+    def test_bad_eval_file_is_1_before_training(self, ws, capsys, command, flag, text):
+        bad = ws / "bad.conll"
+        bad.write_text(text)
+        assert _run([command, "--config", ws / "tiny.cfg", "--train", ws / "train.conll",
+                     flag, bad, "--epochs", 1, "--out", ws / "out.ckpt"]) == 1
+        out, err = capsys.readouterr()
+        assert f"error: {bad}:" in err
+        assert "epoch=" not in out
+        assert not (ws / "out.ckpt").exists()
+
     def test_malformed_checkpoint_is_1(self, ws, capsys):
         (ws / "bad.ckpt").write_bytes(b"SEQXFER1\nnot-a-length\n{}")
         code = _run(["finetune-lm", "--init", ws / "bad.ckpt",

@@ -9,7 +9,7 @@ from seqxfer.bilm import BiLMConfig
 from seqxfer.corpus import PAD, build_char_vocab, char_id_row, pad_batch
 from seqxfer.errors import ContractError
 
-from conftest import tanh, tiny_bilm_config, tiny_encoder_config
+from conftest import highway_forward, tanh, tiny_bilm_config, tiny_encoder_config
 
 
 def _setup(seed=0):
@@ -19,44 +19,47 @@ def _setup(seed=0):
     return config, cvocab, params
 
 
+def _one_layer(gate_bias):
+    """(char-CNN features, WH, output) of a one-layer encoder whose gate
+    weights are zero, gate bias is `gate_bias` and projection is the
+    identity (the tiny config's pooled_dim equals its d_out)."""
+    config = tiny_encoder_config(highway_layers=1)
+    cvocab = build_char_vocab([["alpha", "beta", "gamma", "x"]])
+    params = ad.init_params(enc.char_encoder_table(config, len(cvocab)), 0)
+    params["char_enc.hw0.WT"].data[:] = 0.0
+    params["char_enc.hw0.bT"].data[:] = gate_bias
+    params["char_enc.proj.W"].data[:] = np.eye(config.d_out)
+    rows = np.stack([char_id_row(w, cvocab, config.max_word_len) for w in ("alpha", "x")])
+    return (enc.char_cnn(rows, params, config).data, params["char_enc.hw0.WH"].data,
+            enc.encode_char_matrix(rows, params, config).data)
+
+
 class TestHighway:
     def test_open_gate_is_transform(self):
-        d = 4
-        x = np.array([[0.5, -1.0, 2.0, 0.0]])
-        WT = np.zeros((d, d))
-        WH = ad.seeded_init((d, d), 1)
-        out = enc.highway_forward(x, WT, np.full(d, 100.0), WH, np.zeros(d))
-        assert np.allclose(out.data, x @ WH, atol=1e-12)
+        x, WH, out = _one_layer(100.0)
+        assert np.allclose(out, x @ WH, atol=1e-12)
 
     def test_closed_gate_is_identity(self):
-        d = 4
-        x = np.array([[0.5, -1.0, 2.0, 0.0]])
-        WT = np.zeros((d, d))
-        WH = ad.seeded_init((d, d), 1)
-        out = enc.highway_forward(x, WT, np.full(d, -100.0), WH, np.zeros(d))
-        assert np.allclose(out.data, x, atol=1e-12)
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            enc.highway_forward(np.ones((1, 3)), np.zeros((4, 4)),
-                                np.zeros(4), np.zeros((4, 4)), np.zeros(4))
+        x, _, out = _one_layer(-100.0)
+        assert np.allclose(out, x, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        d = 5
-        x = ad.constant(np.random.default_rng(0).normal(size=(3, d)))
-        params = {
-            "WT": ad.parameter("WT", ad.seeded_init((d, d), 1)),
-            "bT": ad.parameter("bT", np.full(d, -1.0)),
-            "WH": ad.parameter("WH", ad.seeded_init((d, d), 2)),
-            "bH": ad.parameter("bH", np.zeros(d)),
-        }
+        config = tiny_encoder_config(highway_layers=1)
+        cvocab = build_char_vocab([["alpha", "beta", "gamma", "x"]])
+        # the char-CNN's parameters are constants: only the tail node records
+        params = {k: p if k.startswith(("char_enc.hw", "char_enc.proj")) else
+                  ad.constant(p.data) for k, p in
+                  ad.init_params(enc.char_encoder_table(config, len(cvocab)), 1).items()}
+        rows = np.stack([char_id_row(w, cvocab, config.max_word_len)
+                         for w in ("gamma", "beta", "x")])
 
         def loss_fn():
-            out = enc.highway_forward(x, params["WT"], params["bT"],
-                                      params["WH"], params["bH"])
+            out = enc.encode_char_matrix(rows, params, config)
             return (out * out).sum()
 
-        assert ad.finite_difference_check(loss_fn, params) < 1e-4
+        tail = {k: p for k, p in params.items() if p.requires_grad}
+        assert len(tail) == 6
+        assert ad.finite_difference_check(loss_fn, tail) < 1e-4
 
 
 def _encode_one(row, params, config):
@@ -171,16 +174,22 @@ def reference_char_cnn(ids, params, config):
     return ad.concat(pooled, axis=1)
 
 
-def reference_encode_char_matrix(ids, params, config):
-    """The encoder with the unfused char-CNN: the graph composition that
-    `enc.encode_char_matrix` replaced, which trains to the same weights."""
-    x = reference_char_cnn(ids, params, config)
+def reference_encoder_tail(x, params, config):
+    """The highway layers and the projection as a graph of primitive ops:
+    the composition that `enc.encode_char_matrix`'s tail node replaced."""
     for layer in range(config.highway_layers):
-        x = enc.highway_forward(
+        x = highway_forward(
             x,
             params[f"char_enc.hw{layer}.WT"], params[f"char_enc.hw{layer}.bT"],
             params[f"char_enc.hw{layer}.WH"], params[f"char_enc.hw{layer}.bH"])
     return ad.matmul(x, params["char_enc.proj.W"]) + params["char_enc.proj.b"]
+
+
+def reference_encode_char_matrix(ids, params, config):
+    """The encoder as one graph of primitive ops, the unfused char-CNN and
+    the unfused tail: the composition that `enc.encode_char_matrix`
+    replaced, which trains to the same weights."""
+    return reference_encoder_tail(reference_char_cnn(ids, params, config), params, config)
 
 
 class TestTmaxHelper:
@@ -303,6 +312,45 @@ class TestFusedCharCNNOracle:
             return (diff * diff).sum()
 
         assert ad.finite_difference_check(loss_fn, params, max_coords=120) < 1e-4
+
+
+def _unfused_tail(ids, params, config):
+    return reference_encoder_tail(enc.char_cnn(ids, params, config), params, config)
+
+
+TAIL_CONFIGS = [tiny_encoder_config(highway_layers=n) for n in (0, 1, 2)] \
+    + [enc.CharEncoderConfig()]
+
+
+class TestFusedTailOracle:
+    @pytest.mark.parametrize("config", TAIL_CONFIGS,
+                             ids=["layers0", "layers1", "layers2", "default"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tail_equals_unfused_graph(self, config, seed):
+        ids, arrays = _char_instance(config, seed)
+        cotangent = 0.37 * np.random.default_rng(seed).normal(size=(len(ids), config.d_out))
+        cotangent[0] = 0.0
+        want, want_grads = _cnn_run(_unfused_tail, ids, arrays, config, cotangent)
+        got, got_grads = _cnn_run(enc.encode_char_matrix, ids, arrays, config, cotangent)
+        np.testing.assert_array_equal(got, want)
+        assert got_grads.keys() == want_grads.keys()
+        for name in got_grads:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("config", TAIL_CONFIGS[:1] + TAIL_CONFIGS[3:],
+                             ids=["layers0", "default"])
+    def test_two_nodes_per_call(self, config):
+        ids, arrays = _char_instance(config, 0)
+        p = {k: ad.parameter(k, v) for k, v in arrays.items()}
+        out = enc.encode_char_matrix(ids, p, config)
+        cnn, *weights = out._parents
+        layers = [p[f"char_enc.hw{i}.{k}"] for i in range(config.highway_layers)
+                  for k in ("WT", "bT", "WH", "bH")]
+        assert weights == [p["char_enc.proj.W"], p["char_enc.proj.b"]] + layers
+        assert cnn._parents[0] is p["char_enc.emb"]
+        assert all(q._backward is None for q in cnn._parents + tuple(weights))
+        cells = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(c is out for c in cells)
 
 
 class TestCharIdContract:

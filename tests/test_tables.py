@@ -18,6 +18,7 @@ from conftest import (tiny_bilm_config, tiny_encoder_config, tiny_tagger_config,
                       toy_ner_corpus)
 from test_bilm import reference_nll_sum
 from test_encoder import reference_encode_char_matrix
+from test_tagger import reference_sentence_loss
 
 WORDS = [["alpha", "beta", "gamma"], ["beta", "delta"]]
 OTHER = [["uno", "dos"], ["tres", "dos", "cuatro"]]
@@ -263,27 +264,43 @@ def _digest_tagger_unk_provider(seed):
     return model.to_checkpoint(metrics=metrics).digest()
 
 
-def _digest_tagger_unk_softmax(seed):
+def _train_unk_softmax(seed):
     corpus = toy_ner_corpus(12)
     model, metrics = tg.train_tagger(
         corpus, tg.LabelSet.from_sequences(corpus, bio=False),
         tiny_tagger_config(head="softmax", unk_rate=0.5), epochs=2, batch_size=5,
         lr=0.05, seed=seed)
-    return model.to_checkpoint(metrics=metrics).digest()
+    return model.to_checkpoint(metrics=metrics)
+
+
+def _digest_tagger_unk_softmax(seed):
+    return _train_unk_softmax(seed).digest()
+
+
+def _digest_tagger_unk_softmax_reference(seed):
+    """The same run through the softmax head's own cross-entropy graph."""
+    with mock.patch.object(tg.TaggerModel, "sentence_loss", reference_sentence_loss):
+        return _digest_tagger_unk_softmax(seed)
 
 
 # Tagger runs with unk_rate > 0.  The provider runs draw the singleton ->
 # UNK swap and dropout, and pin the order of those draws; toy_ner_corpus(12)
 # holds no singleton, so the softmax runs draw no swap.  Same BLAS caveat
-# as above.
+# as above.  The softmax head's loss is a CRF's with zero transitions, which
+# sums in another order than its cross-entropy graph did, so those runs are
+# re-pinned, and that graph still gives the digests recorded before.
 PINNED_UNK_SWAP = [
     (_digest_tagger_unk_provider, 0,
      "92f74ec33b926445a68275e929b31d9f178c4eb91f20f98aeb36eb48e900842a"),
     (_digest_tagger_unk_provider, 7,
      "fcb72e9b4a37f986845858d7106cf7d904db6c2496be47ecc0a52c19abceb795"),
     (_digest_tagger_unk_softmax, 0,
-     "c3c1d48c508873cd00b743afc310bbdd06edc0873203223d625ce0117481feb7"),
+     "2b02f2cc43641aa953f26394c1182bfbdc1a59ea62e1083f68a7e81e2f500cfe"),
     (_digest_tagger_unk_softmax, 7,
+     "7ad37022517beaeb7ac289e89688e34b4549c7286da1f77c9b816e97e45ab1ba"),
+    (_digest_tagger_unk_softmax_reference, 0,
+     "c3c1d48c508873cd00b743afc310bbdd06edc0873203223d625ce0117481feb7"),
+    (_digest_tagger_unk_softmax_reference, 7,
      "e3056be1a9d1467a4c1179e913ff14d317ce25aba6820843fb3cbb8cf0356b4e"),
 ]
 
@@ -312,3 +329,13 @@ def test_fused_encoder_trains_as_the_unfused_one(seed):
     assert fused.tensors.keys() == unfused.tensors.keys()
     for name, arr in unfused.tensors.items():
         assert np.abs(fused.tensors[name] - arr).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_softmax_head_trains_as_its_cross_entropy_graph(seed):
+    crf = _train_unk_softmax(seed)
+    with mock.patch.object(tg.TaggerModel, "sentence_loss", reference_sentence_loss):
+        graph = _train_unk_softmax(seed)
+    assert crf.tensors.keys() == graph.tensors.keys()
+    for name, arr in graph.tensors.items():
+        assert np.abs(crf.tensors[name] - arr).max() < 1e-12, name

@@ -13,7 +13,7 @@ from seqxfer.checkpoint import Checkpoint
 from seqxfer.corpus import UNK, LabeledSequence, build_vocab
 from seqxfer.errors import ContractError, DataError
 
-from conftest import tanh, tiny_tagger_config, toy_ner_corpus
+from conftest import log_softmax, tanh, tiny_tagger_config, toy_ner_corpus
 
 
 def brute_force_partition(emissions, transitions):
@@ -66,6 +66,19 @@ def reference_crf_log_partition(emissions, transitions):
         scores = ad.reshape(alpha, (m, 1)) + tr[:m, :m] + e[t]
         alpha = logsumexp_t(scores, axis=0)
     return logsumexp_t(alpha + tr[:m, stop], axis=0)
+
+
+def reference_sentence_loss(self, batch, rng=None):
+    """`TaggerModel.sentence_loss` as it was before the softmax head became
+    a CRF with zero transitions: that head summed the per-position
+    cross-entropy of a `log_softmax` graph."""
+    em = self.emissions(batch, rng)
+    if self.config.head == "crf":
+        trans = self.transitions_used()
+        return (tg.crf_log_partition(em, trans, batch.mask)
+                - tg.crf_sequence_score(em, trans, batch.tag_ids, batch.mask)).sum()
+    gold = tg.one_hot(batch.tag_ids, batch.mask, len(self.labels))
+    return -(log_softmax(em, axis=-1) * gold).sum()
 
 
 def prefix_mask(lengths, T=None):
