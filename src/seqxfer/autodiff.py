@@ -242,8 +242,8 @@ def backward(loss):
 def reverse_gradients(loss, params):
     """d(loss)/d(p) for every named parameter; zeros if unreachable.
 
-    params: mapping name -> Tensor.  Grads are returned as plain arrays
-    and the parameters' .grad slots are cleared afterwards.
+    params: mapping name -> Tensor.  Grads are returned as plain arrays,
+    the ones `_accum` built, and the parameters' .grad slots are cleared.
     """
     for p in params.values():
         p.grad = None
@@ -253,7 +253,7 @@ def reverse_gradients(loss, params):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
-        grads[name] = np.array(g, copy=True)
+        grads[name] = g
         p.grad = None
     return grads
 
@@ -310,8 +310,9 @@ class Adam:
                 raise ContractError(
                     f"gradient shape {g.shape} does not match parameter "
                     f"{name!r} shape {p.data.shape}")
-            m = self.m.setdefault(name, np.zeros_like(p.data))
-            v = self.v.setdefault(name, np.zeros_like(p.data))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2

@@ -210,12 +210,17 @@ def lstm_layer(x, mask, params, base, reverse):
                         params[f"{base}.b"], reverse=reverse)
 
 
-def bilm_states(batch, params, config):
+def bilm_states(batch, params, config, types=None):
     """Last-layer [fwd, bwd] states, each [B, T, d_out], of a padded Batch.
     Each distinct word is char-encoded once, then each direction runs its
-    LSTM stack, every layer projecting back to d_out."""
-    enc = encode_char_matrix(batch.uniq_char_ids, params, config.encoder)
-    x = ad.getitem(enc, batch.word_index)
+    LSTM stack, every layer projecting back to d_out.  Given `types`, the
+    encoded word types of the call that built the batch ([1 + n_types,
+    d_out], rows by `batch.type_ids`), it gathers from them instead."""
+    if types is None:
+        x = ad.getitem(encode_char_matrix(batch.uniq_char_ids, params, config.encoder),
+                       batch.word_index)
+    else:
+        x = ad.getitem(types, batch.type_ids)
     states = []
     for direction in DIRECTIONS:
         h = x
@@ -257,12 +262,13 @@ def _nll_sum(states, targets, mask, params):
     return ad.node(-(picked - np.log(sums)).sum(), (states, W, b), _bw)
 
 
-def bilm_loss_parts(batch, params, config):
-    """(forward NLL sum, backward NLL sum, unmasked target count)."""
+def bilm_loss_parts(batch, params, config, types=None):
+    """(forward NLL sum, backward NLL sum, unmasked target count);
+    `types` as in `bilm_states`."""
     count = batch.n_tokens
     if count == 0:
         raise ContractError("empty LM batch")
-    fwd_states, bwd_states = bilm_states(batch, params, config)
+    fwd_states, bwd_states = bilm_states(batch, params, config, types)
     fwd = _nll_sum(fwd_states, batch.fwd_targets, batch.mask, params)
     bwd = _nll_sum(bwd_states, batch.bwd_targets, batch.mask, params)
     return fwd, bwd, count
@@ -288,16 +294,27 @@ def contextual_repr(sentence, params, config, char_vocab):
 
 
 def perplexity(corpus, params, config, vocab, char_vocab):
-    """exp(mean per-direction per-token NLL), directions averaged."""
+    """exp(mean per-direction per-token NLL), directions averaged, with no
+    graph.  The encoder is context free, so each word type is char-encoded
+    once, with the other new types of the first batch that holds it."""
     corpus = [s for s in corpus if s]
     if not corpus:
         raise ContractError("empty corpus")
     total, count = 0.0, 0
-    for batch in lm_batches(corpus, vocab, char_vocab, PERPLEXITY_BATCH,
-                            config.encoder.max_word_len, seed=0):
-        fwd, bwd, n = bilm_loss_parts(batch, params, config)
-        total += float(fwd.data) + float(bwd.data)
-        count += n
+    batches = lm_batches(corpus, vocab, char_vocab, PERPLEXITY_BATCH,
+                         config.encoder.max_word_len, seed=0)
+    rows = batches[0].type_char_ids
+    types, done = np.zeros((len(rows), config.d_out)), np.zeros(len(rows), dtype=bool)
+    with ad.no_grad():
+        for batch in batches:
+            held = np.unique(batch.type_ids)
+            new = held[~done[held]]
+            if len(new):
+                types[new] = encode_char_matrix(rows[new], params, config.encoder).data
+                done[new] = True
+            fwd, bwd, n = bilm_loss_parts(batch, params, config, types)
+            total += float(fwd.data) + float(bwd.data)
+            count += n
     return math.exp(total / (2.0 * count))
 
 

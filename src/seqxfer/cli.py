@@ -321,7 +321,7 @@ def cmd_transfer_init(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
-    gold = corpus_mod.read_conll(args.gold)
+    gold = _read_eval_set(args.gold, True)
     pred = corpus_mod.read_conll(args.pred)
     metrics = evaluation.span_f1(gold, pred)
     print(metrics.to_text(), end="")

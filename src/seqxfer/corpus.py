@@ -311,11 +311,16 @@ class Batch:
 
     Word surface forms are deduplicated: uniq_char_ids holds each
     distinct word's padded char-id row once (row 0 is the all-PAD row of
-    padded positions), word_index maps [B, T] positions into it.
+    padded positions), word_index maps [B, T] positions into it.  The
+    batches of one `batches` call also share that call's word types:
+    type_ids numbers each position's type (0 = padding) and
+    type_char_ids, one array shared by reference, holds every type's row.
     """
     uniq_char_ids: np.ndarray   # [U, L] int, or None without a char vocabulary
     word_index: np.ndarray      # [B, T] int, or None without a char vocabulary
     mask: np.ndarray            # [B, T] float, 1 where a real token sits
+    type_ids: np.ndarray = None       # [B, T] int, the call's type ids, 0 where padded
+    type_char_ids: np.ndarray = None  # [1 + n_types, L] int, or None without chars
     word_ids: np.ndarray = None     # [B, T] int word-vocabulary ids, PAD where padded
     tag_ids: np.ndarray = None      # [B, T] int label ids, 0 where padded
     fwd_targets: np.ndarray = None  # [B, T] int, next-word ids (EOS at end)
@@ -370,7 +375,7 @@ def _grid_batch(types, rows=None, words=None, tag_ids=None):
     Batch: the char rows of the batch's distinct types in first-appearance
     order after the all-PAD row 0 when `rows` is given, word ids when
     `words` is, and a tag column from `tag_ids` (one int sequence per
-    sentence)."""
+    sentence).  The Batch keeps the type-id grid and `rows` itself."""
     lengths = [len(t) for t in types]
     real = np.arange(max(lengths)) < np.array(lengths)[:, None]
     grid = np.zeros(real.shape, dtype=np.int64)
@@ -384,7 +389,7 @@ def _grid_batch(types, rows=None, words=None, tag_ids=None):
         row_of = np.zeros(len(rows), dtype=np.int64)
         row_of[kinds] = np.arange(len(kinds))
         uniq, word_index = rows[kinds], row_of[grid]
-    return Batch(uniq, word_index, real.astype(np.float64),
+    return Batch(uniq, word_index, real.astype(np.float64), grid, rows,
                  word_ids=None if words is None else words[grid], tag_ids=tags)
 
 

@@ -65,6 +65,13 @@ class TestReverseGradients:
         err = ad.finite_difference_check(loss_fn, {"W1": W1, "W2": W2, "b": b})
         assert err < 1e-4
 
+    def test_returns_the_accumulated_arrays_and_clears_the_slots(self):
+        p, q = ad.parameter("p", np.ones(2)), ad.parameter("q", np.ones(3))
+        grads = ad.reverse_gradients((p * 3.0).sum(), {"p": p, "q": q})
+        assert p.grad is None and q.grad is None
+        assert not np.shares_memory(grads["p"], p.data)
+        assert np.array_equal(grads["p"], [3.0, 3.0]) and np.array_equal(grads["q"], np.zeros(3))
+
     def test_gradients_accumulate_over_reuse(self):
         p = ad.parameter("p", np.array([3.0]))
         loss = (p * p).sum() + (2.0 * p).sum()  # d/dp = 2p + 2
@@ -187,6 +194,22 @@ class TestAdam:
         p = ad.parameter("p", np.ones(3))
         with pytest.raises(ContractError):
             ad.Adam().step({"p": p}, {"p": np.ones(4)})
+
+    def test_moments_are_allocated_once_per_parameter(self, monkeypatch):
+        made, zeros_like = [], np.zeros_like
+
+        def spy(a):
+            made.append(a.shape)
+            return zeros_like(a)
+        monkeypatch.setattr(ad.np, "zeros_like", spy)
+        params = {"p": ad.parameter("p", np.ones(3)), "q": ad.parameter("q", np.ones(2))}
+        grads = {"p": np.ones(3), "q": np.ones(2)}
+        opt = ad.Adam()
+        opt.step(params, grads)
+        assert made == [(3,), (3,), (2,), (2,)]
+        opt.step(params, grads)
+        assert len(made) == 4
+        assert np.allclose(opt.m["p"], 0.19) and np.allclose(opt.v["q"], 0.001999)
 
 
 class TestSeededInit:

@@ -134,6 +134,23 @@ def test_lm_training_runs_through_the_wrappers(tracing):
     assert 0.0 < summary["coverage"]["finetune"] <= 1.0
 
 
+def test_perplexity_runs_through_the_wrappers(tracing):
+    """`lm_eval` coverage rests on one `bilm.loss` span per batch and on the
+    encoder calls that `perplexity` makes itself."""
+    tokens = [s.tokens for s in toy_ner_corpus(40)]
+    vocab, chars, config = build_vocab(tokens), build_char_vocab(tokens), tiny_bilm_config()
+    params = bilm.init_bilm_params(config, len(chars), len(vocab), seed=0)
+    n_batches = len(bilm.lm_batches(tokens, vocab, chars, bilm.PERPLEXITY_BATCH,
+                                    config.encoder.max_word_len))
+    tracer = tracing.Tracer(seed=0)
+    with tracer.phase("lm_eval"):
+        bilm.perplexity(tokens, params, config, vocab, chars)
+    spans = Counter(span[0] for span in tracer.spans)
+    assert n_batches == 2 and spans["bilm.loss"] == n_batches
+    assert spans["encoder.fwd"] >= 1 and spans["corpus.lm_batches"] == 1
+    assert 0.0 < tracer.round_summary()["coverage"]["lm_eval"] <= 1.0
+
+
 def test_workload_setup_and_checks_call_the_api_as_they_do(workloads, tmp_path,
                                                             monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -6,11 +6,13 @@ import pytest
 
 from seqxfer import autodiff as ad
 from seqxfer import bilm
+from seqxfer import tagger as tg
 from seqxfer.corpus import (build_char_vocab, build_vocab, char_id_row,
                             lm_batches)
 from seqxfer.errors import ContractError, TransferError
 
-from conftest import log_softmax, sigmoid, tanh, tiny_bilm_config
+from conftest import (log_softmax, sigmoid, tanh, tiny_bilm_config, tiny_tagger_config,
+                      toy_ner_corpus)
 
 SENTS = [["red", "fox", "ran"], ["blue", "fox", "sat", "down"], ["red", "owl"]]
 
@@ -235,6 +237,149 @@ class TestBiLMLoss:
         config, vocab, cvocab, params = _setup()
         with pytest.raises(ContractError):
             bilm.perplexity([[]], params, config, vocab, cvocab)
+
+
+def reference_perplexity(corpus, params, config, vocab, char_vocab):
+    """`bilm.perplexity` as it was before it ran without a graph and
+    encoded each word type once per call: every batch char-encodes its own
+    distinct words.  The new one must equal it exactly."""
+    corpus = [s for s in corpus if s]
+    if not corpus:
+        raise ContractError("empty corpus")
+    total, count = 0.0, 0
+    for batch in lm_batches(corpus, vocab, char_vocab, bilm.PERPLEXITY_BATCH,
+                            config.encoder.max_word_len, seed=0):
+        fwd, bwd, n = bilm.bilm_loss_parts(batch, params, config)
+        total += float(fwd.data) + float(bwd.data)
+        count += n
+    return math.exp(total / (2.0 * count))
+
+
+# Batches of two: later batches repeat earlier words and add new ones;
+# the two 12-char words truncate to one 10-long char row.
+GROWING = [["red", "fox"], ["red", "owl", "ran"], ["blue", "fox", "sat"],
+           ["red", "fox", "ran"], ["abcdefghijkl", "owl"], ["abcdefghijmn", "sat", "down"],
+           ["blue", "owl"]]
+
+
+def _encoder_calls(monkeypatch):
+    """The char ids of every `bilm.encode_char_matrix` call from here on."""
+    calls, encode = [], bilm.encode_char_matrix
+
+    def spy(ids, params, config):
+        calls.append(ids)
+        return encode(ids, params, config)
+    monkeypatch.setattr(bilm, "encode_char_matrix", spy)
+    return calls
+
+
+class TestPerplexityTypeTable:
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("batch", [2, 3, bilm.PERPLEXITY_BATCH])
+    def test_equals_the_per_batch_oracle(self, monkeypatch, layers, batch):
+        monkeypatch.setattr(bilm, "PERPLEXITY_BATCH", batch)
+        config = tiny_bilm_config(lm_layers=layers)
+        vocab, cvocab = build_vocab(GROWING[:4]), build_char_vocab(GROWING)
+        for seed in range(3):
+            params = bilm.init_bilm_params(config, len(cvocab), len(vocab), seed)
+            want = reference_perplexity(GROWING, params, config, vocab, cvocab)
+            assert bilm.perplexity(GROWING, params, config, vocab, cvocab) == want
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_single_sentence_equals_the_oracle(self, layers):
+        config = tiny_bilm_config(lm_layers=layers)
+        config, vocab, cvocab, params = _setup(seed=4, config=config)
+        sent = [["red", "fox", "red", "ran"]]
+        assert bilm.perplexity(sent, params, config, vocab, cvocab) \
+            == reference_perplexity(sent, params, config, vocab, cvocab)
+
+    def test_each_type_is_encoded_once_per_call(self, monkeypatch):
+        monkeypatch.setattr(bilm, "PERPLEXITY_BATCH", 2)
+        config = tiny_bilm_config()
+        vocab, cvocab = build_vocab(GROWING[:2]), build_char_vocab(GROWING)
+        params = bilm.init_bilm_params(config, len(cvocab), len(vocab), 0)
+        batches = lm_batches(GROWING, vocab, cvocab, 2, config.encoder.max_word_len)
+        held = [set(np.unique(b.type_ids).tolist()) for b in batches]
+        new = [len(h - set().union(*held[:i])) for i, h in enumerate(held)]
+        assert any(0 < n < len(h) for n, h in zip(new[1:], held[1:]))
+        calls = _encoder_calls(monkeypatch)
+        for _ in range(2):     # a second call encodes every type again
+            bilm.perplexity(GROWING, params, config, vocab, cvocab)
+        rows = [len(ids) for ids in calls]
+        assert rows == [n for n in new if n] * 2
+        assert sum(rows) == 2 * len(set().union(*held))
+        # no call covers more rows than that batch's own table
+        assert all(n <= len(b.uniq_char_ids) for n, b in zip(new, batches))
+
+    def test_a_batch_with_no_new_type_makes_no_call(self, monkeypatch):
+        monkeypatch.setattr(bilm, "PERPLEXITY_BATCH", 2)
+        corpus = [["red", "fox"], ["fox", "red"], ["red", "red"], ["fox", "fox"]]
+        config, vocab, cvocab, params = _setup()
+        calls = _encoder_calls(monkeypatch)
+        ppl = bilm.perplexity(corpus, params, config, vocab, cvocab)
+        assert [len(ids) for ids in calls] == [2]   # two unpadded batches: types 1, 2 once
+        assert ppl == reference_perplexity(corpus, params, config, vocab, cvocab)
+
+    def test_loss_parts_record_no_graph(self, monkeypatch):
+        config, vocab, cvocab, params = _setup()
+        outs, parts = [], bilm.bilm_loss_parts
+
+        def spy(*args):
+            outs.append(parts(*args))
+            return outs[-1]
+        monkeypatch.setattr(bilm, "bilm_loss_parts", spy)
+        bilm.perplexity(SENTS, params, config, vocab, cvocab)
+        assert outs
+        for fwd, bwd, _ in outs:
+            for t in (fwd, bwd):
+                assert not t.requires_grad and t._parents == () and t._backward is None
+
+    def test_type_table_gives_the_batch_states(self):
+        config, vocab, cvocab, params = _setup()
+        batch = lm_batches(SENTS, vocab, cvocab, 3, config.encoder.max_word_len)[0]
+        types = bilm.encode_char_matrix(batch.type_char_ids, params, config.encoder)
+        want = bilm.bilm_states(batch, params, config)
+        got = bilm.bilm_states(batch, params, config, types.data)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
+
+
+class TestTrainingEncodesEachBatch:
+    """Weights change between training batches, so each batch encodes its
+    own distinct words, not a table kept across batches."""
+
+    def test_train_lm(self, monkeypatch):
+        config, vocab, cvocab, _ = _setup()
+        made, build = [], bilm.lm_batches
+
+        def batches(*args, **kwargs):
+            out = build(*args, **kwargs)
+            made.extend(out)
+            return out
+        seen = _encoder_calls(monkeypatch)
+        monkeypatch.setattr(bilm, "lm_batches", batches)
+        bilm.train_lm(SENTS * 2, vocab, cvocab, config, epochs=2, batch_size=2, seed=0)
+        assert len(seen) == len(made) == 6
+        assert all(ids is b.uniq_char_ids for ids, b in zip(seen, made))
+
+    def test_train_tagger(self, monkeypatch):
+        corpus = toy_ner_corpus(6)
+        tokens = [s.tokens for s in corpus]
+        chars, config = build_char_vocab(tokens), tiny_bilm_config()
+        provider = tg.ContextualProvider(
+            bilm.init_bilm_params(config, len(chars), 6, seed=0), config, chars)
+        used, loss = [], tg.TaggerModel.sentence_loss
+
+        def spy_loss(model, batch, rng=None):
+            used.append(batch)
+            return loss(model, batch, rng)
+        seen = _encoder_calls(monkeypatch)
+        monkeypatch.setattr(tg.TaggerModel, "sentence_loss", spy_loss)
+        tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus),
+                        tiny_tagger_config(), epochs=2, batch_size=4, seed=0,
+                        provider=provider)
+        assert len(seen) == len(used) == 4
+        assert all(ids is b.uniq_char_ids for ids, b in zip(seen, used))
 
 
 def transpose(x):

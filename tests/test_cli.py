@@ -93,6 +93,15 @@ class TestExitCodes:
         assert f"error: {bad}:2: expected a token and a tag column" \
             in capsys.readouterr().err
 
+    def test_illegal_gold_tag_names_file_and_sentence(self, ws, capsys):
+        bad = ws / "gold.conll"
+        bad.write_text("a O\nb I-LOC\n\n")
+        pred = ws / "pred.conll"
+        pred.write_text("a O\nb O\n\n")
+        assert _run(["evaluate", "--gold", bad, "--pred", pred]) == 1
+        assert f"error: {bad}: sentence 0: illegal tag 'I-LOC' at index 1" \
+            in capsys.readouterr().err
+
     def test_malformed_vectors_name_file_and_line(self, ws, capsys):
         bad = ws / "bad.vec"
         bad.write_text("alice 1 2\n")

@@ -356,6 +356,19 @@ class TestBatchesMatchPerTokenBuilder:
         seen = [{bytes(row) for row in b.uniq_char_ids[1:]} for b in batches]
         assert any(a & b for i, a in enumerate(seen) for b in seen[i + 1:])
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 32])
+    def test_batches_of_a_call_share_its_type_table(self, batch_size):
+        corpus, vocab, chars = _random_corpus(1, 8)
+        batches = cp.lm_batches(corpus, vocab, chars, batch_size, 8, seed=1)
+        table = batches[0].type_char_ids
+        assert all(b.type_char_ids is table for b in batches)
+        for b in batches:
+            assert np.array_equal(table[b.type_ids], b.uniq_char_ids[b.word_index])
+            assert np.array_equal(b.type_ids == 0, b.mask == 0.0)
+        held = set().union(*(np.unique(b.type_ids).tolist() for b in batches))
+        assert held - {0} == set(range(1, len(table)))
+        assert cp.pad_batch([["a"]], word_vocab=vocab).type_char_ids is None
+
     @pytest.mark.parametrize("max_word_len", [None, 8.0, True, 2, -1])
     def test_char_rows_need_an_integer_max_word_len(self, max_word_len):
         sents = [["a", "b"]]
