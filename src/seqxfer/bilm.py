@@ -16,7 +16,7 @@ from .autodiff import Adam, clip_by_global_norm, reverse_gradients
 from .checkpoint import Checkpoint
 from .corpus import lm_batches, pad_batch
 from .encoder import CharEncoderConfig, char_encoder_table, encode_char_matrix, size
-from .errors import ContractError, DataError, TransferError
+from .errors import ContractError, DataError
 
 DIRECTIONS = ("fwd", "bwd")
 HEAD_PARAMS = ("lm.head.W", "lm.head.b")
@@ -69,9 +69,6 @@ def init_bilm_params(config, n_chars, n_words, seed):
 def read_bilm(ck):
     """The config of the BiLM checkpoint `ck`, once its tensors are checked
     against the parameter table its architecture declares."""
-    if ck.architecture["kind"] != "bilm":
-        raise TransferError(f"{ck.source} is not a bilm checkpoint")
-
     def read(arch):
         n_chars = len(ck.char_vocab) if ck.char_vocab else 0
         if n_chars != arch["n_chars"]:
@@ -79,9 +76,7 @@ def read_bilm(ck):
                             f"vocabulary holds {n_chars} symbols")
         config = BiLMConfig.from_dict(arch["config"])
         return config, bilm_table(config, n_chars, arch["n_words"])
-    config, table = ck.read_architecture(read)
-    ck.check_tensors(table)
-    return config
+    return ck.read_architecture("bilm", read)
 
 
 def params_from_tensors(tensors):
@@ -321,14 +316,6 @@ def perplexity(corpus, params, config, vocab, char_vocab):
 # training and surgery -----------------------------------------------
 
 
-def _check_architecture(init_arch, config, n_chars, n_words):
-    want = architecture(config, n_chars, n_words)
-    mismatched = [k for k in want if init_arch.get(k) != want[k]]
-    if mismatched:
-        raise TransferError(
-            "init checkpoint architecture mismatch on: " + ", ".join(mismatched))
-
-
 def anchor_penalty(params, anchors, coeff):
     """L2 pull toward the initial (pre-fine-tuning) values: one graph node
     over every anchored parameter, valued coeff * sum ||p - anchor||^2.
@@ -369,21 +356,20 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
              anchor_coeff=0.0, log_fn=None):
     """Adam training of the BiLM; returns a checkpoint with per-epoch loss.
 
-    With `init` (a bilm Checkpoint) this resumes/fine-tunes: vocabularies
-    come from the checkpoint and, when anchor_coeff > 0, every non-head
+    With `init` (a bilm Checkpoint) this resumes/fine-tunes: the config
+    and vocabularies come from `read_bilm(init)` alone, so passing any of
+    them too is a ContractError, and when anchor_coeff > 0 every non-head
     parameter is L2-anchored to its initial value.
     """
     corpus = [s for s in corpus if s]
     if not corpus:
         raise ContractError("empty corpus")
-    provenance = []
     if init is not None:
-        vocab = init.word_vocab
-        char_vocab = init.char_vocab
-        init_config = read_bilm(init)
-        if config is not None:
-            _check_architecture(init.architecture, config, len(char_vocab), len(vocab))
-        config = init_config
+        if any(x is not None for x in (vocab, char_vocab, config)):
+            raise ContractError("with init, vocab, char_vocab and config come "
+                                "from the checkpoint; pass none of them")
+        config = read_bilm(init)
+        vocab, char_vocab = init.word_vocab, init.char_vocab
         params = params_from_tensors(init.tensors)
         provenance = list(init.manifest.get("provenance", []))
         provenance.append({"event": "continue_training", "epochs": epochs})

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import DataError
+from .errors import DataError, TransferError
 
 MAGIC = b"SEQXFER1\n"
 FORMAT_VERSION = 1
@@ -53,14 +53,20 @@ class Checkpoint:
                             "object with a kind")
         return arch
 
-    def read_architecture(self, read):
-        """`read(architecture)`; a missing key or a value of the wrong type
-        in the architecture is a DataError naming this checkpoint."""
+    def read_architecture(self, kind, read):
+        """What `read(architecture)` returns beside the parameter table it
+        declares, once `check_tensors` holds for that table.  A checkpoint of
+        another kind is a TransferError; a missing key or a value of the
+        wrong type in the architecture is a DataError naming this checkpoint."""
         arch = self.architecture
+        if arch["kind"] != kind:
+            raise TransferError(f"{self.source} is not a {kind} checkpoint")
         try:
-            return read(arch)
+            value, table = read(arch)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{self.source}: malformed architecture: {exc!r}") from None
+        self.check_tensors(table)
+        return value
 
     def check_tensors(self, table):
         """DataError naming the first row of the parameter table `table`

@@ -7,6 +7,7 @@ transfer-init, evaluate, analyze, convert-bio.  Exit codes: 0 success,
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -165,7 +166,9 @@ def _load_policy(path, source_labels=None, target_labels=None):
     mapping = None
     if source_labels is not None and target_labels is not None:
         mapping = transfer_mod.map_label_space(source_labels, target_labels)
-    return transfer_mod.TransferPolicy(actions, label_mapping=mapping)
+    policy = transfer_mod.TransferPolicy(actions, label_mapping=mapping)
+    policy.source = str(path)
+    return policy
 
 
 def default_tagger_policy(source, source_head, source_labels, target_head,
@@ -191,52 +194,27 @@ def _transfer_tagger(args, cfg, src, head, word_vocab, labels):
     """Tagger architecture and tensors initialised from the tagger
     checkpoint `src` by --policy, or by the default policy without it.
     Returns (architecture, tensors, TransferReport)."""
-    src_head, src_labels = tagger_mod.read_tagger_head(src)
+    src_config, src_labels, _ = tagger_mod.read_tagger(src)
     arch = tagger_mod.tagger_architecture(cfg.tagger_config(head=head),
                                           len(word_vocab), len(labels), 0, labels)
     policy = (_load_policy(args.policy, src_labels, labels) if args.policy
-              else default_tagger_policy(src, src_head, src_labels, head,
+              else default_tagger_policy(src, src_config.head, src_labels, head,
                                          word_vocab, labels))
     tensors, report = transfer_mod.transfer_init(src, arch, policy, cfg.seed)
     return arch, tensors, report
 
 
-# commands -----------------------------------------------------------
+def _read_corpus(path):
+    """The LM corpus at `path`; one without a token is a DataError naming it."""
+    sentences = corpus_mod.read_sentences(path)
+    if not sentences:
+        raise DataError(f"{path}: empty corpus")
+    return sentences
 
 
-def cmd_pretrain_lm(args, cfg):
-    corpora = [corpus_mod.read_sentences(p) for p in args.corpus]
-    train = corpora[0]
-    vocab = corpus_mod.build_vocab(train, min_count=cfg.min_count)
-    char_vocab = transfer_mod.build_shared_char_vocab(corpora)
-    epochs = args.epochs or cfg.lm_epochs
-    ck = bilm_mod.train_lm(
-        train, vocab, char_vocab, cfg.bilm_config(), epochs,
-        batch_size=cfg.batch_size, lr=cfg.lr, clip_norm=cfg.clip_norm,
-        seed=cfg.seed, log_fn=_emit)
-    ck.save(args.out)
-    _emit(f"checkpoint {args.out}")
-    return 0
-
-
-def cmd_finetune_lm(args, cfg):
-    src = Checkpoint.load(args.init)
-    target = corpus_mod.read_sentences(args.corpus[0])
-    target_vocab = corpus_mod.build_vocab(target, min_count=cfg.min_count)
-    surgered = bilm_mod.replace_vocab_head(src, target_vocab, cfg.seed)
-    epochs = args.epochs or cfg.finetune_epochs
-    ck = bilm_mod.train_lm(
-        target, epochs=epochs, init=surgered,
-        batch_size=cfg.batch_size, lr=cfg.lr, clip_norm=cfg.clip_norm,
-        seed=cfg.seed, anchor_coeff=cfg.anchor_l2, log_fn=_emit)
-    ck.save(args.out)
-    _emit(f"checkpoint {args.out}")
-    return 0
-
-
-def _read_eval_set(path, bio):
+def _read_tagged(path, bio):
     """The CoNLL file at `path`, read before any training; with `bio`, an
-    illegal tag run is a DataError naming the file."""
+    illegal tag run is a DataError naming the file and the sentence."""
     sentences = corpus_mod.read_conll(path)
     if bio:
         try:
@@ -246,17 +224,54 @@ def _read_eval_set(path, bio):
     return sentences
 
 
-def _train_tagger_common(args, cfg, head):
-    train = corpus_mod.read_conll(args.train)
+def _read_train(path, bio, min_count):
+    """(sentences, LabelSet, word Vocabulary) of the --train file at `path`,
+    read as `_read_tagged` reads --dev; an empty one is a DataError."""
+    train = _read_tagged(path, bio)
+    if not train:
+        raise DataError(f"{path}: empty training set")
+    word_vocab = corpus_mod.build_vocab([s.tokens for s in train], min_count=min_count)
+    return train, tagger_mod.LabelSet.from_sequences(train, bio=bio), word_vocab
+
+
+# commands -----------------------------------------------------------
+
+
+def cmd_pretrain_lm(args, cfg):
+    corpora = [_read_corpus(p) for p in args.corpus]
+    train = corpora[0]
+    vocab = corpus_mod.build_vocab(train, min_count=cfg.min_count)
+    char_vocab = transfer_mod.build_shared_char_vocab(corpora)
+    ck = bilm_mod.train_lm(
+        train, vocab, char_vocab, cfg.bilm_config(), cfg.lm_epochs,
+        batch_size=cfg.batch_size, lr=cfg.lr, clip_norm=cfg.clip_norm,
+        seed=cfg.seed, log_fn=_emit)
+    ck.save(args.out)
+    _emit(f"checkpoint {args.out}")
+    return 0
+
+
+def cmd_finetune_lm(args, cfg):
+    src = Checkpoint.load(args.init)
+    target = _read_corpus(args.corpus[0])
+    target_vocab = corpus_mod.build_vocab(target, min_count=cfg.min_count)
+    surgered = bilm_mod.replace_vocab_head(src, target_vocab, cfg.seed)
+    ck = bilm_mod.train_lm(
+        target, epochs=cfg.finetune_epochs, init=surgered,
+        batch_size=cfg.batch_size, lr=cfg.lr, clip_norm=cfg.clip_norm,
+        seed=cfg.seed, anchor_coeff=cfg.anchor_l2, log_fn=_emit)
+    ck.save(args.out)
+    _emit(f"checkpoint {args.out}")
+    return 0
+
+
+def cmd_train_tagger(args, cfg, default_head):
+    head = args.head or default_head
     bio = head == "crf"
-    dev, test = (_read_eval_set(path, bio) if path else None
+    train, labels, word_vocab = _read_train(args.train, bio, cfg.min_count)
+    dev, test = (_read_tagged(path, bio) if path else None
                  for path in (args.dev, args.test))
-    labels = tagger_mod.LabelSet.from_sequences(train, bio=bio)
-    word_vocab = corpus_mod.build_vocab([s.tokens for s in train],
-                                        min_count=cfg.min_count)
-    provider = None
-    init_tensors = None
-    report = None
+    provider = init_tensors = report = None
     anchor = 0.0
     if args.init:
         src = Checkpoint.load(args.init)
@@ -272,10 +287,9 @@ def _train_tagger_common(args, cfg, head):
         vectors, coverage = corpus_mod.load_word_vectors(
             args.vectors, word_vocab, cfg.d_word, seed=cfg.seed)
         _emit(f"vector_coverage {coverage:.4f}")
-    patience = args.patience if args.patience is not None else (cfg.patience or None)
     model, metrics = tagger_mod.train_tagger(
-        train, labels, tcfg, epochs=args.epochs or cfg.epochs, lr=cfg.lr,
-        batch_size=cfg.batch_size, dev=dev, patience=patience, seed=cfg.seed,
+        train, labels, tcfg, epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
+        dev=dev, patience=cfg.patience or None, seed=cfg.seed,
         init_tensors=init_tensors, provider=provider, word_vocab=word_vocab,
         word_vectors=vectors, clip_norm=cfg.clip_norm, log_fn=_emit)
     provenance = [{"event": "train", "command": "train-ner" if bio else "train-pos",
@@ -295,21 +309,10 @@ def _train_tagger_common(args, cfg, head):
     return 0
 
 
-def cmd_train_ner(args, cfg):
-    return _train_tagger_common(args, cfg, args.head or "crf")
-
-
-def cmd_train_pos(args, cfg):
-    return _train_tagger_common(args, cfg, args.head or "softmax")
-
-
 def cmd_transfer_init(args, cfg):
     src = Checkpoint.load(args.init)
-    train = corpus_mod.read_conll(args.train)
     head = args.head or "crf"
-    labels = tagger_mod.LabelSet.from_sequences(train, bio=(head == "crf"))
-    word_vocab = corpus_mod.build_vocab([s.tokens for s in train],
-                                        min_count=cfg.min_count)
+    _, labels, word_vocab = _read_train(args.train, head == "crf", cfg.min_count)
     arch, tensors, report = _transfer_tagger(args, cfg, src, head, word_vocab, labels)
     ck = Checkpoint.create(
         "tagger", arch, tensors, word_vocab=word_vocab,
@@ -321,8 +324,11 @@ def cmd_transfer_init(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
-    gold = _read_eval_set(args.gold, True)
+    gold = _read_tagged(args.gold, True)
     pred = corpus_mod.read_conll(args.pred)
+    for i, (g, p) in enumerate(itertools.zip_longest(gold, pred)):
+        if g is None or p is None or g.tokens != p.tokens:
+            raise DataError(f"{args.pred}: sentence {i}: tokens differ from {args.gold}")
     metrics = evaluation.span_f1(gold, pred)
     print(metrics.to_text(), end="")
     print(metrics.to_kv(), end="")
@@ -348,12 +354,16 @@ def cmd_convert_bio(args, cfg):
 
 # wiring -------------------------------------------------------------
 
+# the config key that --epochs sets, by command; the taggers' is `epochs`
+EPOCHS_KEY = {"pretrain-lm": "lm_epochs", "finetune-lm": "finetune_epochs"}
+
 # command -> (handler, flags it cannot run without)
 COMMANDS = {
     "pretrain-lm": (cmd_pretrain_lm, ("corpus", "out")),
     "finetune-lm": (cmd_finetune_lm, ("init", "corpus", "out")),
-    "train-ner": (cmd_train_ner, ("train", "out")),
-    "train-pos": (cmd_train_pos, ("train", "out")),
+    "train-ner": (functools.partial(cmd_train_tagger, default_head="crf"), ("train", "out")),
+    "train-pos": (functools.partial(cmd_train_tagger, default_head="softmax"),
+                  ("train", "out")),
     "transfer-init": (cmd_transfer_init, ("init", "train", "out")),
     "evaluate": (cmd_evaluate, ("gold", "pred")),
     "analyze": (cmd_analyze, ("corpus", "test")),
@@ -400,7 +410,8 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    overrides = {"seed": args.seed, "epochs": args.epochs, "patience": args.patience}
+    overrides = {"seed": args.seed, EPOCHS_KEY.get(args.command, "epochs"): args.epochs,
+                 "patience": args.patience}
     try:
         if args.out:
             _check_out(args.out)

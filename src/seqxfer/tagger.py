@@ -21,7 +21,7 @@ from .autodiff import clip_by_global_norm, reverse_gradients
 from .bilm import BiLMConfig, contextual_states, params_from_tensors, tensors_from_params
 from .checkpoint import Checkpoint
 from .corpus import Batch, LabeledSequence, UNK, Vocabulary, batches, build_vocab, validate_bio
-from .errors import ContractError, DataError, TransferError
+from .errors import ContractError, DataError
 
 FORBIDDEN = -1e4  # fixed score of BIO-illegal transitions
 
@@ -337,13 +337,22 @@ def architecture_labels(arch):
         raise ValueError(f"labels {labels!r}: {exc}") from None
 
 
-def read_tagger_head(ck):
-    """(head, LabelSet) of the tagger checkpoint `ck`, read once through
-    `Checkpoint.read_architecture`, so a malformed one is a DataError."""
-    if ck.architecture["kind"] != "tagger":
-        raise TransferError(f"{ck.source} is not a tagger checkpoint")
-    return ck.read_architecture(lambda arch: (
-        TaggerConfig.from_dict(arch["config"]).head, architecture_labels(arch)))
+def read_tagger(ck):
+    """(TaggerConfig, LabelSet, provider BiLMConfig or None) of the tagger
+    checkpoint `ck`, once its tensors are checked against the parameter
+    table of what the model reads: its config, word vocabulary, labels and
+    provider."""
+    def read(arch):
+        config, labels = TaggerConfig.from_dict(arch["config"]), architecture_labels(arch)
+        bcfg = BiLMConfig.from_dict(arch["provider"]) if arch.get("provider") else None
+        table = tagger_table(config, len(ck.word_vocab), len(labels),
+                             2 * bcfg.d_out if bcfg else 0)
+        if bcfg:
+            # the provider's softmax head is saved but never used, and its
+            # vocabulary size is not part of the architecture
+            table += bilm_mod.bilm_table(bcfg, len(ck.char_vocab), 0)[:-2]
+        return (config, labels, bcfg), table
+    return ck.read_architecture("tagger", read)
 
 
 class TaggerModel:
@@ -457,21 +466,7 @@ class TaggerModel:
 
     @classmethod
     def from_checkpoint(cls, ck):
-        if ck.architecture.get("kind") != "tagger":
-            raise TransferError("checkpoint does not contain tagger parameters")
-
-        def read(arch):
-            config = TaggerConfig.from_dict(arch["config"])
-            table = tagger_table(config, arch["n_words"], arch["n_labels"], arch["d_ctx"])
-            bcfg = BiLMConfig.from_dict(arch["provider"]) if arch.get("provider") else None
-            if bcfg:
-                # the provider's softmax head is saved but never used, and its
-                # vocabulary size is not part of the architecture
-                table += bilm_mod.bilm_table(bcfg, len(ck.char_vocab), 0)[:-2]
-            return config, architecture_labels(arch), bcfg, table
-
-        config, labels, bcfg, table = ck.read_architecture(read)
-        ck.check_tensors(table)
+        config, labels, bcfg = read_tagger(ck)
         provider = bcfg and ContextualProvider(params_from_tensors(
             {n: a for n, a in ck.tensors.items() if n.startswith(("char_enc.", "lm."))}),
             bcfg, ck.char_vocab)

@@ -68,6 +68,7 @@ class TransferPolicy:
     """
     actions: dict
     label_mapping: LabelMapping = None
+    source = "policy"  # what error messages call it; `cli` sets a file's path
 
 
 @dataclass
@@ -158,8 +159,8 @@ def transfer_init(source, target_arch, policy, seed):
     groups_needed = {group_of(n) for n in fresh}
     missing = groups_needed - set(policy.actions)
     if missing:
-        raise ContractError(
-            "policy does not cover parameter group(s): " + ", ".join(sorted(missing)))
+        raise ContractError(f"{policy.source} does not cover parameter group(s): "
+                            + ", ".join(sorted(missing)))
 
     mapping = policy.label_mapping
 

@@ -589,6 +589,16 @@ class TestTrainLM:
         events = [p["event"] for p in ck2.manifest["provenance"]]
         assert events == ["pretrain", "continue_training"]
 
+    @pytest.mark.parametrize("given", ["vocab", "char_vocab", "config"])
+    def test_init_takes_nothing_else(self, given):
+        """With init, the config and vocabularies come from the checkpoint
+        alone; one passed beside it is refused, even when it matches."""
+        config, vocab, cvocab, _ = _setup()
+        ck = bilm.train_lm(SENTS, vocab, cvocab, config, epochs=1, seed=0)
+        passed = {"vocab": vocab, "char_vocab": cvocab, "config": config}
+        with pytest.raises(ContractError, match="with init"):
+            bilm.train_lm(SENTS, epochs=1, init=ck, **{given: passed[given]})
+
 
 class TestReplaceVocabHead:
     def test_trunk_copied_head_resized(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from seqxfer import cli
 from seqxfer import transfer as transfer_mod
 from seqxfer.checkpoint import Checkpoint
-from seqxfer.corpus import write_conll
+from seqxfer.corpus import LabeledSequence, read_conll, write_conll
 from seqxfer.errors import DataError
 
 from conftest import toy_ner_corpus
@@ -389,6 +389,8 @@ class TestTaggerCheckpointArchitecture:
         "no-labels": lambda arch: arch.pop("labels"),
         "labels-not-a-list": lambda arch: arch.update(labels="X PROPN"),
         "unknown-head": lambda arch: arch["config"].update(head="xyz"),
+        # n_labels is left as it was: the tensors are checked against the labels
+        "labels-one-short": lambda arch: arch.update(labels=arch["labels"][:-1]),
     }
 
     @pytest.mark.parametrize("command", ["train-ner", "transfer-init"])
@@ -521,3 +523,129 @@ def test_range_edges_are_accepted(ws):
                                  "dropout=0\nunk_rate=0.999\n")
     cfg = cli.load_config(ws / "edge.cfg")
     assert (cfg.seed, cfg.anchor_l2, cfg.dropout, cfg.unk_rate) == (0, 0.0, 0.0, 0.999)
+
+
+@pytest.fixture(scope="module")
+def made(tmp_path_factory):
+    """A tiny BiLM checkpoint and a tiny POS tagger checkpoint, trained once
+    for the tests that break a copy of one."""
+    made = tmp_path_factory.mktemp("made")
+    (made / "tiny.cfg").write_text(TINY_CFG)
+    (made / "lm.txt").write_text(
+        "\n".join(" ".join(s.tokens) for s in toy_ner_corpus(16)) + "\n")
+    assert _run(["pretrain-lm", "--config", made / "tiny.cfg", "--corpus",
+                 made / "lm.txt", "--epochs", 1, "--out", made / "lm.ckpt"]) == 0
+    _pos_checkpoint(made)
+    return made
+
+
+def _pos_without(name):
+    def write(ws, made):
+        ck = Checkpoint.load(made / "pos.ckpt")
+        del ck.tensors[name]
+        ck.save(ws / "bad.ckpt")
+        return ws / "bad.ckpt"
+    return write
+
+
+def _text(name, text):
+    def write(ws, made):
+        (ws / name).write_text(text)
+        return ws / name
+    return write
+
+
+def _pred_from_test(edit):
+    def write(ws, made):
+        sentences = edit(read_conll(ws / "test.conll"))
+        write_conll(sentences, ws / "pred.conll")
+        return ws / "pred.conll"
+    return write
+
+
+def _swap_first_token(sentences):
+    first = sentences[0]
+    sentences[0] = LabeledSequence(["zed"] + first.tokens[1:], first.tags)
+    return sentences
+
+
+# malformed file -> (command, argv with the file as `bad`, every case's file)
+MALFORMED = {
+    "bio-train": (_text("bad.conll", "alice O\nwent I-PER\n\n"), [
+        ["train-ner", "--train", "BAD"],
+        ["transfer-init", "--init", "POS", "--train", "BAD"]]),
+    "init-without-copied-tensor": (_pos_without("tagger.l0.fwd.Wx"), [
+        ["train-ner", "--init", "BAD", "--train", "TRAIN"],
+        ["transfer-init", "--init", "BAD", "--train", "TRAIN"]]),
+    "init-without-reinitialized-tensor": (_pos_without("tagger.emission.b"), [
+        ["train-ner", "--init", "BAD", "--train", "TRAIN"],
+        ["transfer-init", "--init", "BAD", "--train", "TRAIN"]]),
+    "empty-corpus": (_text("empty.txt", "\n \n"), [
+        ["pretrain-lm", "--corpus", "BAD"],
+        ["pretrain-lm", "--corpus", "LM", "--corpus", "BAD"],
+        ["finetune-lm", "--init", "LM_CK", "--corpus", "BAD"]]),
+    "empty-train": (_text("empty.conll", "\n"), [
+        ["train-ner", "--train", "BAD"],
+        ["train-pos", "--train", "BAD"],
+        ["transfer-init", "--init", "POS", "--train", "BAD"]]),
+    "short-policy": (_text("short.policy", "trunk=copy\n"), [
+        ["train-ner", "--init", "POS", "--train", "TRAIN", "--policy", "BAD"],
+        ["transfer-init", "--init", "POS", "--train", "TRAIN", "--policy", "BAD"]]),
+    "pred-other-tokens": (_pred_from_test(_swap_first_token), [
+        ["evaluate", "--gold", "TEST", "--pred", "BAD"]]),
+    "pred-short": (_pred_from_test(lambda sentences: sentences[:-1]), [
+        ["evaluate", "--gold", "TEST", "--pred", "BAD"]]),
+}
+MALFORMED_CASES = [(kind, argv) for kind, (_, argvs) in MALFORMED.items()
+                   for argv in argvs]
+
+
+@pytest.mark.parametrize("kind, argv", MALFORMED_CASES,
+                         ids=[f"{kind}-{i}-{argv[0]}" for i, (kind, argv)
+                              in enumerate(MALFORMED_CASES)])
+def test_malformed_file_is_1_and_named_before_any_work(ws, made, capsys, kind, argv):
+    """One malformed file per file flag: the command exits 1 with an error
+    that starts with the file's path, trains nothing and writes nothing."""
+    bad = MALFORMED[kind][0](ws, made)
+    names = {"BAD": bad, "POS": made / "pos.ckpt", "LM_CK": made / "lm.ckpt",
+             "TRAIN": ws / "train.conll", "TEST": ws / "test.conll", "LM": ws / "lm.txt"}
+    argv = [names.get(a, a) for a in argv]
+    if argv[0] != "evaluate":
+        argv += ["--config", ws / "tiny.cfg", "--epochs", 1, "--out", ws / "out.ckpt"]
+    capsys.readouterr()
+    assert _run(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {bad}"), err
+    assert "epoch=" not in out
+    assert not (ws / "out.ckpt").exists()
+    assert not (ws / "out.ckpt.report.txt").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_patience_0_is_disabled(ws, capsys, where):
+    """`patience` 0 means disabled, set by the key or by the flag alike."""
+    (ws / "dev.cfg").write_text(TINY_CFG + "epochs=4\n"
+                                + ("patience=0\n" if where == "config" else ""))
+    argv = ["train-ner", "--config", ws / "dev.cfg", "--train", ws / "train.conll",
+            "--dev", ws / "test.conll", "--out", ws / "out.ckpt"]
+    assert _run(argv + (["--patience", 0] if where == "flag" else [])) == 0
+    assert capsys.readouterr().out.count("train_nll=") == 4
+
+
+@pytest.mark.parametrize("command, key", [("pretrain-lm", "lm_epochs"),
+                                          ("finetune-lm", "finetune_epochs"),
+                                          ("train-ner", "epochs")])
+def test_epochs_flag_sets_the_commands_key(ws, made, capsys, command, key):
+    """--epochs overrides the one config key its command trains by, through
+    the range check of that key."""
+    (ws / "e.cfg").write_text(TINY_CFG + f"{key}=3\n")
+    data = {"pretrain-lm": ["--corpus", ws / "lm.txt"],
+            "finetune-lm": ["--init", made / "lm.ckpt", "--corpus", ws / "lm.txt"],
+            "train-ner": ["--train", ws / "train.conll"]}[command]
+    argv = [command, "--config", ws / "e.cfg", *data, "--out", ws / "out.ckpt"]
+    capsys.readouterr()
+    assert _run(argv + ["--epochs", 2]) == 0
+    assert capsys.readouterr().out.count("epoch=") == 2
+    assert _run(argv + ["--epochs", 0]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: command line: {key} is 0, not >= 1")

@@ -11,7 +11,7 @@ from seqxfer import autodiff as ad
 from seqxfer import tagger as tg
 from seqxfer.checkpoint import Checkpoint
 from seqxfer.corpus import UNK, LabeledSequence, build_vocab
-from seqxfer.errors import ContractError, DataError
+from seqxfer.errors import ContractError, DataError, TransferError
 
 from conftest import log_softmax, tanh, tiny_tagger_config, toy_ner_corpus
 
@@ -388,6 +388,42 @@ class TestTaggerModel:
         bad.write_bytes(blob.replace(b'"head": "crf"', b'"head": "xyz"'))
         with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: .*'xyz'"):
             tg.TaggerModel.from_checkpoint(Checkpoint.load(bad))
+
+    def test_read_tagger_reads_what_the_model_holds(self):
+        corpus = toy_ner_corpus(4)
+        labels = tg.LabelSet.from_sequences(corpus)
+        model = tg.TaggerModel.init(tiny_tagger_config(),
+                                    build_vocab([s.tokens for s in corpus]), labels, 0)
+        assert tg.read_tagger(model.to_checkpoint()) == (model.config, labels, None)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ck: setattr(ck, "word_vocab", build_vocab([["alice"]])),
+         "'tagger.word_emb' has shape"),
+        (lambda ck: ck.architecture.update(provider=None), "'tagger.l0.fwd.Wx' has shape"),
+    ], ids=["word-vocab", "no-provider"])
+    def test_tensors_checked_against_what_the_model_reads(self, edit, message):
+        """The table comes from the word vocabulary and the provider the
+        model uses, not from the n_words and d_ctx the architecture repeats."""
+        from seqxfer import bilm
+        from seqxfer.corpus import build_char_vocab
+        from conftest import tiny_bilm_config
+        corpus = toy_ner_corpus(4)
+        tokens = [s.tokens for s in corpus]
+        chars, bcfg = build_char_vocab(tokens), tiny_bilm_config()
+        provider = tg.ContextualProvider(
+            bilm.init_bilm_params(bcfg, len(chars), 5, seed=0), bcfg, chars)
+        ck = tg.TaggerModel.init(tiny_tagger_config(), build_vocab(tokens),
+                                 tg.LabelSet.from_sequences(corpus), 0,
+                                 provider).to_checkpoint()
+        edit(ck)
+        with pytest.raises(DataError, match=re.escape(message)):
+            tg.TaggerModel.from_checkpoint(ck)
+
+    def test_non_tagger_checkpoint_is_named(self):
+        ck = Checkpoint.create("bilm", {"kind": "bilm"}, {})
+        ck.source = "lm.ckpt"
+        with pytest.raises(TransferError, match="^lm.ckpt is not a tagger checkpoint"):
+            tg.TaggerModel.from_checkpoint(ck)
 
     @pytest.mark.parametrize("name, value, message", [
         ("tagger.l0.bwd.Wh", None, "no tensor 'tagger.l0.bwd.Wh'"),
