@@ -67,15 +67,18 @@ def init_bilm_params(config, n_chars, n_words, seed):
 
 
 def read_bilm(ck):
-    """The config of the BiLM checkpoint `ck`, once its tensors are checked
-    against the parameter table its architecture declares."""
+    """The config of the BiLM checkpoint `ck`, once its vocabularies are
+    checked against the sizes its architecture declares and its tensors
+    against the parameter table that architecture declares."""
     def read(arch):
-        n_chars = len(ck.char_vocab) if ck.char_vocab else 0
-        if n_chars != arch["n_chars"]:
-            raise DataError(f"n_chars is {arch['n_chars']!r} but the char "
-                            f"vocabulary holds {n_chars} symbols")
+        for key, kind, vocab in (("n_chars", "char", ck.char_vocab),
+                                 ("n_words", "word", ck.word_vocab)):
+            n = len(vocab) if vocab else 0
+            if n != arch[key]:
+                raise DataError(f"{key} is {arch[key]!r} but the {kind} "
+                                f"vocabulary holds {n} symbols")
         config = BiLMConfig.from_dict(arch["config"])
-        return config, bilm_table(config, n_chars, arch["n_words"])
+        return config, bilm_table(config, arch["n_chars"], arch["n_words"])
     return ck.read_architecture("bilm", read)
 
 
@@ -107,17 +110,38 @@ def _gate_constants(H):
             np.concatenate([half, half, np.zeros(H), half]))
 
 
+def _step_rows(mask):
+    """Per time step of a [B, T] 0/1 mask, (rows, rest): the rows real at
+    that step and the others.  Both are slices when the real rows are the
+    last ones, as in a batch sorted by increasing length, else index
+    arrays; rest is None when every row is real."""
+    on = np.asarray(mask) == 1.0
+    B, T = on.shape
+    rows = [(slice(None), None)] * T
+    if on.all():
+        return rows
+    # per step: the real rows, and the real rows after the last padded one
+    n, tail = on.sum(axis=0).tolist(), on[::-1].argmin(axis=0).tolist()
+    for t in range(T):
+        if n[t] < B:
+            rows[t] = ((slice(B - n[t], B), slice(0, B - n[t])) if tail[t] == n[t] else
+                       (np.flatnonzero(on[:, t]), np.flatnonzero(~on[:, t])))
+    return rows
+
+
 def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     """Run one LSTM layer over xs [B, T, D]; padded steps carry state through.
 
     One graph node for the whole layer.  The input projection is computed
-    once for all steps, the recurrence in numpy, and the backward pass is
-    hand-written masked BPTT over the stored activations.
+    once for all steps.  Each step of the recurrence, and of the
+    hand-written BPTT over the stored activations, runs only the rows
+    real at that step (`_step_rows`): views of them when they form a
+    block, else gathered copies written back after the step.  The other
+    rows carry state forward and gradient back unchanged.
     """
     B, T, _ = xs.data.shape
     H = Wh.data.shape[0]
-    mask = np.asarray(mask, dtype=np.float64)
-    full = (mask == 1.0).all(axis=0)
+    rows = _step_rows(mask)
     scale, shift = _gate_constants(H)
     Z = xs.data @ Wx.data + b.data
     Whd = Wh.data
@@ -129,23 +153,26 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     c = np.zeros((B, H))
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
-        a = acts[t]
-        np.tanh((Z[:, t] + h @ Whd) * scale, out=a)
+        r, rest = rows[t]
+        view = isinstance(r, slice)
+        hr, cr = (h, c) if rest is None else (h[r], c[r])
+        z = (Z[r, t] + hr @ Whd) * scale
+        a = np.tanh(z, out=acts[t, r] if view else z)
         a *= scale
         a += shift
-        c_new = a[:, H:2 * H] * c + a[:, :H] * a[:, 2 * H:3 * H]
-        tc = np.tanh(c_new, out=tanh_c[t])
-        h_new = a[:, 3 * H:] * tc
-        if full[t]:
-            c, h = c_new, h_new
-        else:
-            m = mask[:, t:t + 1]
-            c = c_new * m + c * (1.0 - m)
-            h = h_new * m + h * (1.0 - m)
+        ig = a[:, :H] * a[:, 2 * H:3 * H]
+        cr *= a[:, H:2 * H]
+        cr += ig
+        tc = np.tanh(cr, out=tanh_c[t, r] if view else None)
+        np.multiply(a[:, 3 * H:], tc, out=hr)
+        if not view:
+            acts[t, r], tanh_c[t, r], c[r], h[r] = a, tc, cr, hr
+        if rest is not None:    # never read back; zeros keep the BPTT factors finite
+            acts[t, rest] = 0.0
+            tanh_c[t, rest] = 0.0
         cs[t] = c
         hs[:, t] = h
 
-    # masked BPTT over the stored activations
     def _bw(g):
         # state entering each step: the previous step's carried h and c
         zero = np.zeros((B, 1, H))
@@ -157,35 +184,35 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
             c_prev = np.concatenate([zero.reshape(1, B, H), cs[:-1]])
         i, f = acts[..., :H], acts[..., H:2 * H]
         gg, o = acts[..., 2 * H:3 * H], acts[..., 3 * H:]
-        # dz of each gate is (dc_new or dh_new) times one of these factors
-        factors = np.empty((T, B, 4, H))
+        # dz of each gate is (dc_new or dh_new) times one of the first four
+        # factors; dc_new gains dh_new times the fifth and leaves times f
+        factors = np.empty((T, B, 6, H))
         factors[:, :, 0] = gg * i * (1.0 - i)
         factors[:, :, 1] = c_prev * f * (1.0 - f)
         factors[:, :, 2] = i * (1.0 - gg * gg)
         factors[:, :, 3] = tanh_c * o * (1.0 - o)
-        dc_from_h = o * (1.0 - tanh_c * tanh_c)
+        factors[:, :, 4] = o * (1.0 - tanh_c * tanh_c)
+        factors[:, :, 5] = f
         Wh_T = Whd.T
         dZ = np.empty((T, B, 4, H))
-        dh = np.zeros((B, H))
-        dc = np.zeros((B, H))
+        dh = np.zeros((B, H))   # gradient reaching the carried h
+        dc = np.zeros((B, H))   # and the carried c
         for t in reversed(steps):
-            dh_tot = g[:, t] + dh
-            if full[t]:
-                dh_new = dh_tot
-                dc_new = dc + dh_new * dc_from_h[t]
-            else:
-                m = mask[:, t:t + 1]
-                dh_new = m * dh_tot
-                dc_new = m * dc + dh_new * dc_from_h[t]
-            dz = dZ[t]
-            np.multiply(dc_new[:, None, :], factors[t, :, :3], out=dz[:, :3])
-            np.multiply(dh_new, factors[t, :, 3], out=dz[:, 3])
-            dh_prev = dz.reshape(B, 4 * H) @ Wh_T
-            dc_prev = f[t] * dc_new
-            if not full[t]:
-                dh_prev += (1.0 - m) * dh_tot
-                dc_prev += (1.0 - m) * dc
-            dh, dc = dh_prev, dc_prev
+            r, rest = rows[t]
+            view = isinstance(r, slice)
+            dh += g[:, t]
+            dhr, dcr = (dh, dc) if rest is None else (dh[r], dc[r])
+            fac = factors[t, r]
+            dcr += dhr * fac[:, 4]
+            dz = dZ[t, r] if view else np.empty((len(fac), 4, H))
+            np.multiply(dcr[:, None, :], fac[:, :3], out=dz[:, :3])
+            np.multiply(dhr, fac[:, 3], out=dz[:, 3])
+            np.matmul(dz.reshape(-1, 4 * H), Wh_T, out=dhr)
+            dcr *= fac[:, 5]
+            if not view:
+                dZ[t, r], dh[r], dc[r] = dz, dhr, dcr
+            if rest is not None:
+                dZ[t, rest] = 0.0
         # one row per (b, t), in the order of xs
         dZ = dZ.reshape(T, B, 4 * H).transpose(1, 0, 2).reshape(B * T, 4 * H)
         if xs.requires_grad:

@@ -81,14 +81,11 @@ class Checkpoint:
                                 f"architecture expects {shape}")
 
     def save(self, path):
-        index = []
-        payload = bytearray()
-        for name in sorted(self.tensors):
-            arr = np.ascontiguousarray(self.tensors[name], dtype="<f8")
-            index.append({"name": name, "shape": list(arr.shape)})
-            payload.extend(arr.tobytes())
+        names = sorted(self.tensors)
+        arrays = [np.ascontiguousarray(self.tensors[name], dtype="<f8") for name in names]
         doc = dict(self.manifest)
-        doc["tensor_index"] = index
+        doc["tensor_index"] = [{"name": name, "shape": list(arr.shape)}
+                               for name, arr in zip(names, arrays)]
         doc["word_vocab"] = self.word_vocab.to_dict() if self.word_vocab else None
         doc["char_vocab"] = self.char_vocab.to_dict() if self.char_vocab else None
         text = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
@@ -101,7 +98,8 @@ class Checkpoint:
                 fh.write(MAGIC)
                 fh.write(f"{len(blob)}\n".encode("ascii"))
                 fh.write(blob)
-                fh.write(payload)
+                for arr in arrays:    # each tensor's own buffer, uncopied
+                    fh.write(arr.data)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -119,14 +117,14 @@ class Checkpoint:
         offset = 0
         for entry in doc["tensor_index"]:
             shape = tuple(entry["shape"])
-            nbytes = math.prod(shape) * 8
-            if offset + nbytes > len(payload):
+            count = math.prod(shape)
+            if offset + 8 * count > len(payload):
                 raise DataError(
                     f"{path}: tensor {entry['name']!r} declared shape {shape} "
                     "exceeds payload")
-            arr = np.frombuffer(payload[offset:offset + nbytes], dtype="<f8")
+            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
             tensors[entry["name"]] = arr.reshape(shape).copy()
-            offset += nbytes
+            offset += 8 * count
         if offset != len(payload):
             raise DataError(f"{path}: {len(payload) - offset} trailing payload bytes")
         try:

@@ -410,6 +410,10 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if len(args.corpus) > 1 and args.command != "pretrain-lm":   # the one that reads many
+        print(f"seqxfer {args.command}: error: argument --corpus: given "
+              f"{len(args.corpus)} times; {args.command} reads one", file=sys.stderr)
+        return 2
     overrides = {"seed": args.seed, EPOCHS_KEY.get(args.command, "epochs"): args.epochs,
                  "patience": args.patience}
     try:

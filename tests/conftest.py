@@ -1,6 +1,10 @@
 """Shared fixtures: tiny model configs and synthetic corpora, and the
 graph ops that only the unfused oracle graphs use."""
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,27 @@ from seqxfer.corpus import LabeledSequence
 from seqxfer.encoder import CharEncoderConfig
 from seqxfer.errors import ContractError
 from seqxfer.tagger import TaggerConfig
+
+
+def _openblas_core():
+    """The kernel OpenBLAS picked at run time, read from numpy's bundled
+    library ("unknown" without one): pinned digests depend on it."""
+    here = os.path.dirname(np.__file__)
+    for path in glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*")) \
+            + glob.glob(os.path.join(here, ".dylibs", "*openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    return (f"numpy {np.__version__}, OPENBLAS_NUM_THREADS="
+            f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+            f"OpenBLAS core {_openblas_core()}")
 
 
 def tanh(x):

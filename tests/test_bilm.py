@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqxfer import autodiff as ad
 from seqxfer import bilm
 from seqxfer import tagger as tg
-from seqxfer.corpus import (build_char_vocab, build_vocab, char_id_row,
+from seqxfer.checkpoint import Checkpoint
+from seqxfer.corpus import (Vocabulary, build_char_vocab, build_vocab, char_id_row,
                             lm_batches)
-from seqxfer.errors import ContractError, TransferError
+from seqxfer.errors import ContractError, DataError, TransferError
 
 from conftest import (log_softmax, sigmoid, tanh, tiny_bilm_config, tiny_tagger_config,
                       toy_ner_corpus)
@@ -67,6 +70,93 @@ def reference_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
         h = h_new * m + h * (1.0 - m)
         outs[t] = ad.reshape(h, (B, 1, H))
     return ad.concat(outs, axis=1)
+
+
+def masked_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
+    """`bilm.lstm_forward` as it was before each step ran only its real
+    rows: every step runs all B rows, and a padded row's state is carried
+    by the masked blend x * m + y * (1 - m), forward and in BPTT.  The
+    packed op must equal it within rounding, and bit for bit when every
+    row is real at every step."""
+    B, T, _ = xs.data.shape
+    H = Wh.data.shape[0]
+    mask = np.asarray(mask, dtype=np.float64)
+    full = (mask == 1.0).all(axis=0)
+    scale, shift = bilm._gate_constants(H)
+    Z = xs.data @ Wx.data + b.data
+    Whd = Wh.data
+    acts = np.empty((T, B, 4 * H))
+    tanh_c = np.empty((T, B, H))
+    hs = np.empty((B, T, H))
+    cs = np.empty((T, B, H))
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    for t in steps:
+        a = acts[t]
+        np.tanh((Z[:, t] + h @ Whd) * scale, out=a)
+        a *= scale
+        a += shift
+        c_new = a[:, H:2 * H] * c + a[:, :H] * a[:, 2 * H:3 * H]
+        tc = np.tanh(c_new, out=tanh_c[t])
+        h_new = a[:, 3 * H:] * tc
+        if full[t]:
+            c, h = c_new, h_new
+        else:
+            m = mask[:, t:t + 1]
+            c = c_new * m + c * (1.0 - m)
+            h = h_new * m + h * (1.0 - m)
+        cs[t] = c
+        hs[:, t] = h
+
+    def _bw(g):
+        zero = np.zeros((B, 1, H))
+        if reverse:
+            h_prev = np.concatenate([hs[:, 1:], zero], axis=1)
+            c_prev = np.concatenate([cs[1:], zero.reshape(1, B, H)])
+        else:
+            h_prev = np.concatenate([zero, hs[:, :-1]], axis=1)
+            c_prev = np.concatenate([zero.reshape(1, B, H), cs[:-1]])
+        i, f = acts[..., :H], acts[..., H:2 * H]
+        gg, o = acts[..., 2 * H:3 * H], acts[..., 3 * H:]
+        factors = np.empty((T, B, 4, H))
+        factors[:, :, 0] = gg * i * (1.0 - i)
+        factors[:, :, 1] = c_prev * f * (1.0 - f)
+        factors[:, :, 2] = i * (1.0 - gg * gg)
+        factors[:, :, 3] = tanh_c * o * (1.0 - o)
+        dc_from_h = o * (1.0 - tanh_c * tanh_c)
+        Wh_T = Whd.T
+        dZ = np.empty((T, B, 4, H))
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in reversed(steps):
+            dh_tot = g[:, t] + dh
+            if full[t]:
+                dh_new = dh_tot
+                dc_new = dc + dh_new * dc_from_h[t]
+            else:
+                m = mask[:, t:t + 1]
+                dh_new = m * dh_tot
+                dc_new = m * dc + dh_new * dc_from_h[t]
+            dz = dZ[t]
+            np.multiply(dc_new[:, None, :], factors[t, :, :3], out=dz[:, :3])
+            np.multiply(dh_new, factors[t, :, 3], out=dz[:, 3])
+            dh_prev = dz.reshape(B, 4 * H) @ Wh_T
+            dc_prev = f[t] * dc_new
+            if not full[t]:
+                dh_prev += (1.0 - m) * dh_tot
+                dc_prev += (1.0 - m) * dc
+            dh, dc = dh_prev, dc_prev
+        dZ = dZ.reshape(T, B, 4 * H).transpose(1, 0, 2).reshape(B * T, 4 * H)
+        if xs.requires_grad:
+            xs._accum((dZ @ Wx.data.T).reshape(xs.data.shape))
+        if Wx.requires_grad:
+            Wx._accum(xs.data.reshape(B * T, -1).T @ dZ)
+        if Wh.requires_grad:
+            Wh._accum(h_prev.reshape(B * T, H).T @ dZ)
+        if b.requires_grad:
+            b._accum(dZ.sum(axis=0))
+    return ad.node(hs, (xs, Wx, Wh, b), _bw)
 
 
 def ragged_mask(lengths, T):
@@ -137,6 +227,107 @@ class TestFusedLSTMOracle:
         def loss_fn():
             out = bilm.lstm_forward(params["xs"], mask, params["Wx"],
                                     params["Wh"], params["b"], reverse=True)
+            return (out * cotangent).sum()
+
+        assert ad.finite_difference_check(loss_fn, params) < 1e-4
+
+
+def _value_and_grads(fn, arrays, mask, cotangent, reverse):
+    params = {k: ad.parameter(k, v.copy()) for k, v in arrays.items()}
+    out = fn(params["xs"], mask, params["Wx"], params["Wh"], params["b"],
+             reverse=reverse)
+    return out.data, ad.reverse_gradients((out * cotangent).sum(), params)
+
+
+@st.composite
+def lstm_cases(draw):
+    """A layer's shapes and a 0/1 mask: ragged rows, holes, all-zero rows
+    and B = 1 all occur; `full` makes every row real at every step."""
+    B = draw(st.integers(1, 6))
+    T = draw(st.integers(1, 7))
+    D = draw(st.integers(1, 5))
+    H = draw(st.sampled_from([1, 3, 8, 33, 200]))
+    full = draw(st.booleans())
+    if full:
+        mask = np.ones((B, T))
+    else:
+        bits = draw(st.lists(st.booleans(), min_size=B * T, max_size=B * T))
+        mask = np.array(bits, dtype=np.float64).reshape(B, T)
+    return B, T, D, H, mask, full, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestPackedLSTMOracle:
+    """`bilm.lstm_forward` runs only each step's real rows; the masked
+    blend it replaced, kept above as `masked_lstm_forward`, is its oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lstm_cases())
+    def test_matches_masked_blend(self, case):
+        B, T, D, H, mask, full, reverse, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = {"xs": rng.normal(size=(B, T, D)),
+                  "Wx": rng.normal(size=(D, 4 * H)) * 0.5,
+                  "Wh": rng.normal(size=(H, 4 * H)) * (0.5 / np.sqrt(H)),
+                  "b": rng.normal(size=4 * H) * 0.5}
+        cotangent = rng.normal(size=(B, T, H))
+        want, want_grads = _value_and_grads(masked_lstm_forward, arrays, mask,
+                                            cotangent, reverse)
+        got, got_grads = _value_and_grads(bilm.lstm_forward, arrays, mask,
+                                          cotangent, reverse)
+        pairs = [(got, want)] + [(got_grads[k], want_grads[k]) for k in arrays]
+        for a, b in pairs:
+            if full:
+                assert np.array_equal(a, b)
+            else:
+                assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_unpadded_batch_is_bit_exact(self, reverse):
+        rng = np.random.default_rng(5)
+        B, T, D, H = 32, 9, 20, 200
+        arrays = {"xs": rng.normal(size=(B, T, D)),
+                  "Wx": rng.normal(size=(D, 4 * H)) * 0.2,
+                  "Wh": rng.normal(size=(H, 4 * H)) * 0.05,
+                  "b": rng.normal(size=4 * H) * 0.2}
+        cotangent = rng.normal(size=(B, T, H))
+        mask = np.ones((B, T))
+        want, want_grads = _value_and_grads(masked_lstm_forward, arrays, mask,
+                                            cotangent, reverse)
+        got, got_grads = _value_and_grads(bilm.lstm_forward, arrays, mask,
+                                          cotangent, reverse)
+        assert np.array_equal(got, want)
+        for name in arrays:
+            assert np.array_equal(got_grads[name], want_grads[name]), name
+
+    def test_step_rows_are_views_in_a_sorted_batch(self):
+        mask = ragged_mask([1, 2, 2, 4], 4)
+        rows = bilm._step_rows(mask)
+        assert rows[0] == (slice(None), None)
+        assert rows[1] == (slice(1, 4), slice(0, 1))
+        assert rows[2] == (slice(3, 4), slice(0, 3))
+        r, rest = bilm._step_rows(mask[::-1])[1]   # longest first: index arrays
+        assert r.tolist() == [0, 1, 2] and rest.tolist() == [3]
+        mask[1, 3] = 1.0                      # a hole in row 1
+        r, rest = bilm._step_rows(mask)[3]
+        assert r.tolist() == [1, 3] and rest.tolist() == [0, 2]
+        assert bilm._step_rows(np.zeros((2, 1)))[0] == (slice(2, 2), slice(0, 2))
+
+    def test_ragged_forward_with_a_hole_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        B, T, D, H = 4, 6, 3, 4
+        mask = ragged_mask([2, 6, 0, 4], T)
+        mask[0, 4] = 1.0    # a real step after padding, not a block
+        params = {
+            "xs": ad.parameter("xs", rng.normal(size=(B, T, D))),
+            "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), 5)),
+            "Wh": ad.parameter("Wh", ad.seeded_init((H, 4 * H), 6)),
+            "b": ad.parameter("b", rng.normal(size=4 * H) * 0.3),
+        }
+        cotangent = rng.normal(size=(B, T, H))
+
+        def loss_fn():
+            out = bilm.lstm_forward(params["xs"], mask, params["Wx"],
+                                    params["Wh"], params["b"])
             return (out * cotangent).sum()
 
         assert ad.finite_difference_check(loss_fn, params) < 1e-4
@@ -598,6 +789,26 @@ class TestTrainLM:
         passed = {"vocab": vocab, "char_vocab": cvocab, "config": config}
         with pytest.raises(ContractError, match="with init"):
             bilm.train_lm(SENTS, epochs=1, init=ck, **{given: passed[given]})
+
+
+    def test_grown_word_vocabulary_is_refused_before_training(self, tmp_path,
+                                                              monkeypatch):
+        """A word vocabulary four words longer than the head's rows would
+        index past the head; it is a DataError naming the checkpoint."""
+        config, vocab, cvocab, _ = _setup()
+        ck = bilm.train_lm(SENTS, vocab, cvocab, config, epochs=1, seed=0)
+        ck.word_vocab = Vocabulary(vocab.non_reserved() + ["w1", "w2", "w3", "w4"])
+        ck.save(tmp_path / "grown.ckpt")
+        grown = Checkpoint.load(tmp_path / "grown.ckpt")
+
+        def no_batches(*args, **kwargs):
+            raise AssertionError("batched the corpus before checking the checkpoint")
+
+        monkeypatch.setattr(bilm, "lm_batches", no_batches)
+        more = SENTS + [["w1", "w2"], ["w3", "w4"]]
+        with pytest.raises(DataError, match=rf"grown\.ckpt: .*n_words is {len(vocab)} "
+                                            rf"but the word vocabulary holds {len(vocab) + 4}"):
+            bilm.train_lm(more, epochs=1, init=grown)
 
 
 class TestReplaceVocabHead:

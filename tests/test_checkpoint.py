@@ -230,6 +230,56 @@ def real_ckpt(tmp_path_factory):
     return (tmp_dir / "real.ckpt").read_bytes(), tmp_dir
 
 
+def reference_save(ck, path):
+    """`Checkpoint.save` as it was before it wrote each tensor's buffer
+    straight to the file: the whole payload copied into one bytearray
+    first.  The new writer must produce the same bytes."""
+    index = []
+    payload = bytearray()
+    for name in sorted(ck.tensors):
+        arr = np.ascontiguousarray(ck.tensors[name], dtype="<f8")
+        index.append({"name": name, "shape": list(arr.shape)})
+        payload.extend(arr.tobytes())
+    doc = dict(ck.manifest)
+    doc["tensor_index"] = index
+    doc["word_vocab"] = ck.word_vocab.to_dict() if ck.word_vocab else None
+    doc["char_vocab"] = ck.char_vocab.to_dict() if ck.char_vocab else None
+    blob = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + f"{len(blob)}\n".encode("ascii") + blob + payload)
+
+
+class TestWriterBytes:
+    """The writer streams each tensor's buffer; the bytes stay those of the
+    writer that built the whole payload first."""
+
+    def _odd_tensors(self):
+        rng = np.random.default_rng(3)
+        big = rng.normal(size=(4, 6))
+        return {"t.transposed": big.T, "t.strided": big[:, ::2],
+                "t.float32": rng.normal(size=(2, 3)).astype(np.float32),
+                "t.big_endian": rng.normal(size=5).astype(">f8"),
+                "t.zero_d": np.array(2.5), "t.empty": np.zeros((3, 0))}
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_same_bytes_as_the_payload_copying_writer(self, tmp_path, extra):
+        ck = _sample(4)
+        if extra:
+            ck.tensors.update(self._odd_tensors())
+        ck.save(tmp_path / "new.ckpt")
+        reference_save(ck, tmp_path / "old.ckpt")
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
+        back = Checkpoint.load(tmp_path / "new.ckpt")
+        for name, arr in ck.tensors.items():
+            assert np.array_equal(back.tensors[name].reshape(np.shape(arr)), arr), name
+            assert back.tensors[name].flags.writeable, name
+
+    def test_real_checkpoint_bytes(self, real_ckpt, tmp_path):
+        ck = Checkpoint.load(real_ckpt[1] / "real.ckpt")
+        reference_save(ck, tmp_path / "old.ckpt")
+        assert (tmp_path / "old.ckpt").read_bytes() == real_ckpt[0]
+
+
 class TestCorruptBytesFuzz:
     """Damaged checkpoint bytes either load or raise DataError."""
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from seqxfer import cli
 from seqxfer import transfer as transfer_mod
 from seqxfer.checkpoint import Checkpoint
-from seqxfer.corpus import LabeledSequence, read_conll, write_conll
+from seqxfer.corpus import LabeledSequence, Vocabulary, read_conll, write_conll
 from seqxfer.errors import DataError
 
 from conftest import toy_ner_corpus
@@ -168,6 +168,28 @@ class TestRequiredFlags:
         assert _run(argv) == 2
         assert missing in capsys.readouterr().err
         # nothing ran: no output file was written
+        assert sorted(p.name for p in ws.iterdir()) == [
+            "lm.txt", "test.conll", "tiny.cfg", "train.conll"]
+
+    @pytest.mark.parametrize("argv", [
+        ["finetune-lm", "--init", "x.ckpt", "--corpus", "lm.txt", "--corpus", "lm.txt",
+         "--out", "ft.ckpt"],
+        ["analyze", "--corpus", "train.conll", "--corpus", "test.conll",
+         "--test", "test.conll"],
+        ["convert-bio", "--corpus", "train.conll", "--corpus", "nowhere.conll",
+         "--out", "bio.conll"],
+    ], ids=lambda argv: argv[0])
+    def test_second_corpus_is_2_and_named(self, ws, capsys, monkeypatch, argv):
+        """Only pretrain-lm reads more than one --corpus; the others refuse a
+        second one before reading any file."""
+        def no_reading(*args, **kwargs):
+            raise AssertionError("read a file before checking flags")
+
+        monkeypatch.chdir(ws)
+        monkeypatch.setattr(cli.corpus_mod, "read_lines", no_reading)
+        monkeypatch.setattr(cli.Checkpoint, "load", no_reading)
+        assert _run(argv) == 2
+        assert "--corpus" in capsys.readouterr().err
         assert sorted(p.name for p in ws.iterdir()) == [
             "lm.txt", "test.conll", "tiny.cfg", "train.conll"]
 
@@ -363,6 +385,8 @@ class TestCheckpointArchitecture:
         "architecture-list": lambda ck: ck.manifest.update(architecture=["bilm"]),
         "n_chars-string": lambda ck: ck.architecture.update(n_chars="x"),
         "no-char_vocab": lambda ck: setattr(ck, "char_vocab", None),
+        "word_vocab-grown": lambda ck: setattr(ck, "word_vocab", Vocabulary(
+            ck.word_vocab.non_reserved() + ["w1", "w2", "w3", "w4"])),
         # sizes that no tensor shape checks
         "max_word_len-string": lambda ck: ck.architecture["config"]["encoder"].update(
             max_word_len="x"),
