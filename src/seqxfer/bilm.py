@@ -6,6 +6,8 @@ cross-lingual fine-tuning via vocabulary-head replacement, contextual
 representation extraction and perplexity measurement.
 """
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -14,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, clip_by_global_norm, reverse_gradients
 from .checkpoint import Checkpoint
-from .corpus import lm_batches, pad_batch
+from .corpus import lm_batches, pad_batch, prefix_lengths
 from .encoder import CharEncoderConfig, char_encoder_table, encode_char_matrix, size
 from .errors import ContractError, DataError
 
@@ -99,82 +101,71 @@ def architecture(config, n_chars, n_words):
 # forward pieces -----------------------------------------------------
 
 
+@functools.cache
 def _gate_constants(H):
     """Per-column (scale, shift) such that scale*tanh(scale*z) + shift maps
     the [i, f, g, o] pre-activations to sigmoid(i), sigmoid(f), tanh(g),
     sigmoid(o) with one tanh.  A sigmoid is 0.5*(tanh(0.5x)+1), as in the
     highway gates of `encode_char_matrix`; scaling by 0.5 commutes with
-    rounding, so each gate equals its unfused value bit for bit."""
+    rounding, so each gate equals its unfused value bit for bit.  Cached
+    per H, so both arrays are read-only."""
     half = np.full(H, 0.5)
-    return (np.concatenate([half, half, np.ones(H), half]),
-            np.concatenate([half, half, np.zeros(H), half]))
-
-
-def _step_rows(mask):
-    """Per time step of a [B, T] 0/1 mask, (rows, rest): the rows real at
-    that step and the others.  Both are slices when the real rows are the
-    last ones, as in a batch sorted by increasing length, else index
-    arrays; rest is None when every row is real."""
-    on = np.asarray(mask) == 1.0
-    B, T = on.shape
-    rows = [(slice(None), None)] * T
-    if on.all():
-        return rows
-    # per step: the real rows, and the real rows after the last padded one
-    n, tail = on.sum(axis=0).tolist(), on[::-1].argmin(axis=0).tolist()
-    for t in range(T):
-        if n[t] < B:
-            rows[t] = ((slice(B - n[t], B), slice(0, B - n[t])) if tail[t] == n[t] else
-                       (np.flatnonzero(on[:, t]), np.flatnonzero(~on[:, t])))
-    return rows
+    scale = np.concatenate([half, half, np.ones(H), half])
+    shift = np.concatenate([half, half, np.zeros(H), half])
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
 def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
-    """Run one LSTM layer over xs [B, T, D]; padded steps carry state through.
+    """Run one LSTM layer over xs [B, T, D] whose [B, T] mask has each row
+    1 over a prefix and 0 after it; padded steps carry state through.
 
     One graph node for the whole layer.  The input projection is computed
-    once for all steps.  Each step of the recurrence, and of the
-    hand-written BPTT over the stored activations, runs only the rows
-    real at that step (`_step_rows`): views of them when they form a
-    block, else gathered copies written back after the step.  The other
-    rows carry state forward and gradient back unchanged.
+    once for all steps.  The rows are sorted by length once (a batch
+    already sorted ascending, as every LM and `predict` batch is, is used
+    as it is), so the rows real at step t are the last ones of the sorted
+    batch, and each step of the recurrence, and of the hand-written BPTT
+    over the stored activations, runs on views of just those rows.  The
+    other rows carry state forward and gradient back unchanged.
     """
     B, T, _ = xs.data.shape
     H = Wh.data.shape[0]
-    rows = _step_rows(mask)
+    lengths = prefix_lengths(mask, (B, T))
+    order = back = slice(None)
+    ls = lengths.tolist()
+    if ls != sorted(ls):
+        order = np.argsort(lengths, kind="stable")
+        back = np.argsort(order)
+        ls.sort()
+    # rows first[t]: of the sorted batch are the ones real at step t
+    first = [bisect.bisect_right(ls, t) for t in range(T)]
     scale, shift = _gate_constants(H)
-    Z = xs.data @ Wx.data + b.data
-    Whd = Wh.data
+    Z = (xs.data @ Wx.data + b.data)[order]
     acts = np.empty((T, B, 4 * H))     # gate activations, per time index
     tanh_c = np.empty((T, B, H))       # tanh of the step's new cell
     hs = np.empty((B, T, H))           # carried h: the layer's output
     cs = np.empty((T, B, H))           # carried c
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    h, c = np.zeros((2, B, H))
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
-        r, rest = rows[t]
-        view = isinstance(r, slice)
-        hr, cr = (h, c) if rest is None else (h[r], c[r])
-        z = (Z[r, t] + hr @ Whd) * scale
-        a = np.tanh(z, out=acts[t, r] if view else z)
+        r = slice(first[t], None)
+        hr, cr = h[r], c[r]
+        z = (Z[r, t] + hr @ Wh.data) * scale
+        a = np.tanh(z, out=acts[t, r])
         a *= scale
         a += shift
         ig = a[:, :H] * a[:, 2 * H:3 * H]
         cr *= a[:, H:2 * H]
         cr += ig
-        tc = np.tanh(cr, out=tanh_c[t, r] if view else None)
-        np.multiply(a[:, 3 * H:], tc, out=hr)
-        if not view:
-            acts[t, r], tanh_c[t, r], c[r], h[r] = a, tc, cr, hr
-        if rest is not None:    # never read back; zeros keep the BPTT factors finite
-            acts[t, rest] = 0.0
-            tanh_c[t, rest] = 0.0
+        np.multiply(a[:, 3 * H:], np.tanh(cr, out=tanh_c[t, r]), out=hr)
+        if first[t]:    # never read back; zeros keep the BPTT factors finite
+            acts[t, :first[t]] = tanh_c[t, :first[t]] = 0.0
         cs[t] = c
         hs[:, t] = h
+    hs = hs[back]
 
     def _bw(g):
-        # state entering each step: the previous step's carried h and c
+        # each step's incoming state: h in the row order of xs, c sorted
         zero = np.zeros((B, 1, H))
         if reverse:
             h_prev = np.concatenate([hs[:, 1:], zero], axis=1)
@@ -193,28 +184,25 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
         factors[:, :, 3] = tanh_c * o * (1.0 - o)
         factors[:, :, 4] = o * (1.0 - tanh_c * tanh_c)
         factors[:, :, 5] = f
-        Wh_T = Whd.T
+        Wh_T = Wh.data.T
+        g = g[order]
         dZ = np.empty((T, B, 4, H))
-        dh = np.zeros((B, H))   # gradient reaching the carried h
-        dc = np.zeros((B, H))   # and the carried c
+        dh, dc = np.zeros((2, B, H))   # gradient reaching the carried h and c
         for t in reversed(steps):
-            r, rest = rows[t]
-            view = isinstance(r, slice)
+            r = slice(first[t], None)
             dh += g[:, t]
-            dhr, dcr = (dh, dc) if rest is None else (dh[r], dc[r])
+            dhr, dcr = dh[r], dc[r]
             fac = factors[t, r]
             dcr += dhr * fac[:, 4]
-            dz = dZ[t, r] if view else np.empty((len(fac), 4, H))
+            dz = dZ[t, r]
             np.multiply(dcr[:, None, :], fac[:, :3], out=dz[:, :3])
             np.multiply(dhr, fac[:, 3], out=dz[:, 3])
             np.matmul(dz.reshape(-1, 4 * H), Wh_T, out=dhr)
             dcr *= fac[:, 5]
-            if not view:
-                dZ[t, r], dh[r], dc[r] = dz, dhr, dcr
-            if rest is not None:
-                dZ[t, rest] = 0.0
+            if first[t]:
+                dZ[t, :first[t]] = 0.0
         # one row per (b, t), in the order of xs
-        dZ = dZ.reshape(T, B, 4 * H).transpose(1, 0, 2).reshape(B * T, 4 * H)
+        dZ = dZ.reshape(T, B, 4 * H)[:, back].transpose(1, 0, 2).reshape(B * T, 4 * H)
         if xs.requires_grad:
             xs._accum((dZ @ Wx.data.T).reshape(xs.data.shape))
         if Wx.requires_grad:

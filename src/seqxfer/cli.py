@@ -213,9 +213,12 @@ def _read_corpus(path):
 
 
 def _read_tagged(path, bio):
-    """The CoNLL file at `path`, read before any training; with `bio`, an
-    illegal tag run is a DataError naming the file and the sentence."""
+    """The CoNLL file at `path`, read before any training; one without a
+    sentence, or with `bio` an illegal tag run, is a DataError naming the
+    file (and the sentence)."""
     sentences = corpus_mod.read_conll(path)
+    if not sentences:
+        raise DataError(f"{path}: no sentences")
     if bio:
         try:
             corpus_mod.validate_bio(sentences)
@@ -226,10 +229,8 @@ def _read_tagged(path, bio):
 
 def _read_train(path, bio, min_count):
     """(sentences, LabelSet, word Vocabulary) of the --train file at `path`,
-    read as `_read_tagged` reads --dev; an empty one is a DataError."""
+    read as `_read_tagged` reads --dev."""
     train = _read_tagged(path, bio)
-    if not train:
-        raise DataError(f"{path}: empty training set")
     word_vocab = corpus_mod.build_vocab([s.tokens for s in train], min_count=min_count)
     return train, tagger_mod.LabelSet.from_sequences(train, bio=bio), word_vocab
 
@@ -325,7 +326,7 @@ def cmd_transfer_init(args, cfg):
 
 def cmd_evaluate(args, cfg):
     gold = _read_tagged(args.gold, True)
-    pred = corpus_mod.read_conll(args.pred)
+    pred = _read_tagged(args.pred, False)
     for i, (g, p) in enumerate(itertools.zip_longest(gold, pred)):
         if g is None or p is None or g.tokens != p.tokens:
             raise DataError(f"{args.pred}: sentence {i}: tokens differ from {args.gold}")
@@ -336,8 +337,7 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_analyze(args, cfg):
-    a = corpus_mod.read_conll(args.corpus[0])
-    b = corpus_mod.read_conll(args.test)
+    a, b = (_read_tagged(path, False) for path in (args.corpus[0], args.test))
     print(evaluation.overlap_report(a, b, name_a=args.corpus[0], name_b=args.test),
           end="")
     return 0

@@ -338,6 +338,16 @@ class Batch:
         return self.mask.sum(axis=1).astype(np.int64)
 
 
+def prefix_lengths(mask, shape):
+    """Row lengths of `mask`, the [B, T] `shape` mask of the LSTM and the
+    CRF, once each row is checked to be 1 over a prefix and 0 after it."""
+    mask = np.asarray(mask)
+    lengths = mask.sum(axis=1).astype(np.int64) if mask.shape == shape else None
+    if lengths is None or not (mask == (np.arange(shape[1]) < lengths[:, None])).all():
+        raise ContractError(f"a mask must have shape (B, T) = {shape}, each row 1 over a prefix")
+    return lengths
+
+
 def char_id_row(word, char_vocab, max_len):
     """[BOW, chars..., EOW, PAD...] of fixed length; truncates long words."""
     if max_len < 3:

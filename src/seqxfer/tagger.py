@@ -20,7 +20,8 @@ from .autodiff import Tensor
 from .autodiff import clip_by_global_norm, reverse_gradients
 from .bilm import BiLMConfig, contextual_states, params_from_tensors, tensors_from_params
 from .checkpoint import Checkpoint
-from .corpus import Batch, LabeledSequence, UNK, Vocabulary, batches, build_vocab, validate_bio
+from .corpus import (Batch, LabeledSequence, UNK, Vocabulary, batches, build_vocab,
+                     prefix_lengths, validate_bio)
 from .errors import ContractError, DataError
 
 FORBIDDEN = -1e4  # fixed score of BIO-illegal transitions
@@ -118,11 +119,10 @@ def _crf_args(emissions, transitions, mask):
     if mask is None:
         return e, tr, np.ones((B, T)), np.full(B, T), batched
     mask = np.asarray(mask, dtype=np.float64)
-    lengths = mask.sum(axis=1).astype(np.int64) if mask.shape == (B, T) else None
-    if not batched or lengths is None or lengths.min() < 1 \
-            or not (mask == (np.arange(T) < lengths[:, None])).all():
-        raise ContractError("a mask must be [B, T] for [B, T, labels] emissions, "
-                            "each row 1 over a nonempty prefix and 0 after it")
+    lengths = prefix_lengths(mask, (B, T))
+    if not batched or lengths.min() < 1:
+        raise ContractError("a CRF mask needs [B, T, labels] emissions and a real "
+                            "step in every row")
     return e, tr, mask, lengths, batched
 
 

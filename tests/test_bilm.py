@@ -170,11 +170,10 @@ class TestFusedLSTMOracle:
         rng = np.random.default_rng(seed)
         B, D, H = 4, int(rng.integers(1, 6)), int(rng.integers(1, 6))
         # the longest row stops short of T: the last steps are padding in
-        # every row; one row is padding throughout and one has holes, so
-        # a padded step's carried state feeds a later real step
+        # every row; one row is padding throughout, and the rows are out
+        # of length order, so the layer sorts them and sorts them back
         T = 7
-        mask = ragged_mask([5, int(rng.integers(1, 6)), 0, 0], T)
-        mask[2, [0, 2, 3]] = 1.0
+        mask = ragged_mask([5, int(rng.integers(1, 6)), 0, 3], T)
         arrays = {"xs": rng.normal(size=(B, T, D)),
                   "Wx": rng.normal(size=(D, 4 * H)) * 0.5,
                   "Wh": rng.normal(size=(H, 4 * H)) * 0.5,
@@ -214,8 +213,9 @@ class TestFusedLSTMOracle:
     def test_ragged_reverse_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         B, T, D, H = 3, 5, 3, 4
+        # longest first; run in reverse, each short row's padded steps
+        # carry the zero state into its real ones
         mask = ragged_mask([5, 3, 1], T)
-        mask[2, 3] = 1.0    # state carried over padding into a real step
         params = {
             "xs": ad.parameter("xs", rng.normal(size=(B, T, D))),
             "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), 1)),
@@ -241,8 +241,9 @@ def _value_and_grads(fn, arrays, mask, cotangent, reverse):
 
 @st.composite
 def lstm_cases(draw):
-    """A layer's shapes and a 0/1 mask: ragged rows, holes, all-zero rows
-    and B = 1 all occur; `full` makes every row real at every step."""
+    """A layer's shapes and a prefix mask: ragged rows in any length order,
+    all-zero rows and B = 1 all occur; `full` makes every row real at
+    every step."""
     B = draw(st.integers(1, 6))
     T = draw(st.integers(1, 7))
     D = draw(st.integers(1, 5))
@@ -251,8 +252,7 @@ def lstm_cases(draw):
     if full:
         mask = np.ones((B, T))
     else:
-        bits = draw(st.lists(st.booleans(), min_size=B * T, max_size=B * T))
-        mask = np.array(bits, dtype=np.float64).reshape(B, T)
+        mask = ragged_mask(draw(st.lists(st.integers(0, T), min_size=B, max_size=B)), T)
     return B, T, D, H, mask, full, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
@@ -299,24 +299,10 @@ class TestPackedLSTMOracle:
         for name in arrays:
             assert np.array_equal(got_grads[name], want_grads[name]), name
 
-    def test_step_rows_are_views_in_a_sorted_batch(self):
-        mask = ragged_mask([1, 2, 2, 4], 4)
-        rows = bilm._step_rows(mask)
-        assert rows[0] == (slice(None), None)
-        assert rows[1] == (slice(1, 4), slice(0, 1))
-        assert rows[2] == (slice(3, 4), slice(0, 3))
-        r, rest = bilm._step_rows(mask[::-1])[1]   # longest first: index arrays
-        assert r.tolist() == [0, 1, 2] and rest.tolist() == [3]
-        mask[1, 3] = 1.0                      # a hole in row 1
-        r, rest = bilm._step_rows(mask)[3]
-        assert r.tolist() == [1, 3] and rest.tolist() == [0, 2]
-        assert bilm._step_rows(np.zeros((2, 1)))[0] == (slice(2, 2), slice(0, 2))
-
-    def test_ragged_forward_with_a_hole_matches_finite_differences(self):
+    def test_unsorted_ragged_forward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         B, T, D, H = 4, 6, 3, 4
         mask = ragged_mask([2, 6, 0, 4], T)
-        mask[0, 4] = 1.0    # a real step after padding, not a block
         params = {
             "xs": ad.parameter("xs", rng.normal(size=(B, T, D))),
             "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), 5)),

@@ -619,6 +619,13 @@ MALFORMED = {
         ["evaluate", "--gold", "TEST", "--pred", "BAD"]]),
     "pred-short": (_pred_from_test(lambda sentences: sentences[:-1]), [
         ["evaluate", "--gold", "TEST", "--pred", "BAD"]]),
+    "empty-conll": (_text("empty.conll", "\n"), [
+        ["train-ner", "--train", "TRAIN", "--dev", "BAD"],
+        ["train-ner", "--train", "TRAIN", "--test", "BAD"],
+        ["evaluate", "--gold", "BAD", "--pred", "BAD"],
+        ["evaluate", "--gold", "TEST", "--pred", "BAD"],
+        ["analyze", "--corpus", "BAD", "--test", "TEST"],
+        ["analyze", "--corpus", "TRAIN", "--test", "BAD"]]),
 }
 MALFORMED_CASES = [(kind, argv) for kind, (_, argvs) in MALFORMED.items()
                    for argv in argvs]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from seqxfer import autodiff as ad
+from seqxfer import bilm
 from seqxfer import tagger as tg
 from seqxfer.checkpoint import Checkpoint
 from seqxfer.corpus import UNK, LabeledSequence, build_vocab
@@ -268,6 +269,25 @@ class TestFusedCRF:
     def test_mask_needs_a_batch(self):
         with pytest.raises(ContractError):
             tg.crf_log_partition(np.zeros((3, 2)), np.zeros((4, 4)), np.ones((1, 3)))
+
+
+class TestLSTMMask:
+    """`bilm.lstm_forward` reads its mask as the CRF does, through
+    `corpus.prefix_lengths` (unlike the CRF, it takes a row with no real
+    step; `tests/test_bilm.py` runs such rows)."""
+
+    @pytest.mark.parametrize("mask", [
+        [[1, 0, 1]],            # a hole inside the row
+        [[1, 1, 1], [1, 1, 1]],  # wrong batch size
+        [[1, 1]],               # wrong length
+        [1, 1, 1],              # 1-D
+        1.0,                    # 0-D
+    ])
+    def test_bad_mask_rejected(self, mask):
+        w = ad.constant(np.zeros((2, 8)))
+        with pytest.raises(ContractError):
+            bilm.lstm_forward(ad.constant(np.zeros((1, 3, 2))), np.array(mask), w, w,
+                              ad.constant(np.zeros(8)))
 
 
 class TestTransitionMask:
