@@ -8,6 +8,7 @@ representation extraction and perplexity measurement.
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -120,8 +121,11 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     """Run one LSTM layer over xs [B, T, D] whose [B, T] mask has each row
     1 over a prefix and 0 after it; padded steps carry state through.
 
-    One graph node for the whole layer.  The input projection is computed
-    once for all steps.  The rows are sorted by length once (a batch
+    One graph node for the whole layer.  The input projection runs once,
+    before the recurrence: with padding, as one GEMM over just the real
+    (row, step) pairs; without, as the product over all of xs, kept since
+    a 2-D GEMM can round otherwise at T = 1, where numpy runs that product
+    as a GEMV per row.  The rows are sorted by length once (a batch
     already sorted ascending, as every LM and `predict` batch is, is used
     as it is), so the rows real at step t are the last ones of the sorted
     batch, and each step of the recurrence, and of the hand-written BPTT
@@ -140,7 +144,16 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     # rows first[t]: of the sorted batch are the ones real at step t
     first = [bisect.bisect_right(ls, t) for t in range(T)]
     scale, shift = _gate_constants(H)
-    Z = (xs.data @ Wx.data + b.data)[order]
+    if ls and ls[0] < T:
+        # padding: the real (row, step) pairs, step-major, so step t's
+        # rows of the sorted batch are one block zs[t] of the product
+        real = np.arange(T)[:, None] < np.array(ls)
+        Z = xs.data[order].transpose(1, 0, 2)[real] @ Wx.data
+        Z += b.data
+        counts = [B - f for f in first]
+        zs = [Z[e - n:e] for n, e in zip(counts, itertools.accumulate(counts))]
+    else:
+        zs = (xs.data @ Wx.data + b.data).transpose(1, 0, 2)
     acts = np.empty((T, B, 4 * H))     # gate activations, per time index
     tanh_c = np.empty((T, B, H))       # tanh of the step's new cell
     hs = np.empty((B, T, H))           # carried h: the layer's output
@@ -150,7 +163,7 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     for t in steps:
         r = slice(first[t], None)
         hr, cr = h[r], c[r]
-        z = (Z[r, t] + hr @ Wh.data) * scale
+        z = (zs[t] + hr @ Wh.data) * scale
         a = np.tanh(z, out=acts[t, r])
         a *= scale
         a += shift

@@ -344,7 +344,7 @@ def cmd_analyze(args, cfg):
 
 
 def cmd_convert_bio(args, cfg):
-    sentences = corpus_mod.read_conll(args.corpus[0])
+    sentences = _read_tagged(args.corpus[0], False)
     converted = [corpus_mod.LabeledSequence(
         s.tokens, corpus_mod.contiguous_to_bio(s.tags)) for s in sentences]
     corpus_mod.write_conll(converted, args.out)

@@ -1,9 +1,10 @@
+import bisect
 import gc
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqxfer import autodiff as ad
@@ -11,7 +12,7 @@ from seqxfer import bilm
 from seqxfer import tagger as tg
 from seqxfer.checkpoint import Checkpoint
 from seqxfer.corpus import (Vocabulary, build_char_vocab, build_vocab, char_id_row,
-                            lm_batches)
+                            lm_batches, prefix_lengths)
 from seqxfer.errors import ContractError, DataError, TransferError
 
 from conftest import (log_softmax, sigmoid, tanh, tiny_bilm_config, tiny_tagger_config,
@@ -159,6 +160,97 @@ def masked_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     return ad.node(hs, (xs, Wx, Wh, b), _bw)
 
 
+def sorted_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
+    """`bilm.lstm_forward` as it was before its input projection ran over
+    only the real (row, step) pairs: it projects every padded pair too, as
+    one 3-D product `xs @ Wx`, and sorts the product's rows.  The packed
+    op must equal it within rounding, and bit for bit without padding."""
+    B, T, _ = xs.data.shape
+    H = Wh.data.shape[0]
+    lengths = prefix_lengths(mask, (B, T))
+    order = back = slice(None)
+    ls = lengths.tolist()
+    if ls != sorted(ls):
+        order = np.argsort(lengths, kind="stable")
+        back = np.argsort(order)
+        ls.sort()
+    # rows first[t]: of the sorted batch are the ones real at step t
+    first = [bisect.bisect_right(ls, t) for t in range(T)]
+    scale, shift = bilm._gate_constants(H)
+    Z = (xs.data @ Wx.data + b.data)[order]
+    acts = np.empty((T, B, 4 * H))     # gate activations, per time index
+    tanh_c = np.empty((T, B, H))       # tanh of the step's new cell
+    hs = np.empty((B, T, H))           # carried h: the layer's output
+    cs = np.empty((T, B, H))           # carried c
+    h, c = np.zeros((2, B, H))
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    for t in steps:
+        r = slice(first[t], None)
+        hr, cr = h[r], c[r]
+        z = (Z[r, t] + hr @ Wh.data) * scale
+        a = np.tanh(z, out=acts[t, r])
+        a *= scale
+        a += shift
+        ig = a[:, :H] * a[:, 2 * H:3 * H]
+        cr *= a[:, H:2 * H]
+        cr += ig
+        np.multiply(a[:, 3 * H:], np.tanh(cr, out=tanh_c[t, r]), out=hr)
+        if first[t]:    # never read back; zeros keep the BPTT factors finite
+            acts[t, :first[t]] = tanh_c[t, :first[t]] = 0.0
+        cs[t] = c
+        hs[:, t] = h
+    hs = hs[back]
+
+    def _bw(g):
+        # each step's incoming state: h in the row order of xs, c sorted
+        zero = np.zeros((B, 1, H))
+        if reverse:
+            h_prev = np.concatenate([hs[:, 1:], zero], axis=1)
+            c_prev = np.concatenate([cs[1:], zero.reshape(1, B, H)])
+        else:
+            h_prev = np.concatenate([zero, hs[:, :-1]], axis=1)
+            c_prev = np.concatenate([zero.reshape(1, B, H), cs[:-1]])
+        i, f = acts[..., :H], acts[..., H:2 * H]
+        gg, o = acts[..., 2 * H:3 * H], acts[..., 3 * H:]
+        # dz of each gate is (dc_new or dh_new) times one of the first four
+        # factors; dc_new gains dh_new times the fifth and leaves times f
+        factors = np.empty((T, B, 6, H))
+        factors[:, :, 0] = gg * i * (1.0 - i)
+        factors[:, :, 1] = c_prev * f * (1.0 - f)
+        factors[:, :, 2] = i * (1.0 - gg * gg)
+        factors[:, :, 3] = tanh_c * o * (1.0 - o)
+        factors[:, :, 4] = o * (1.0 - tanh_c * tanh_c)
+        factors[:, :, 5] = f
+        Wh_T = Wh.data.T
+        g = g[order]
+        dZ = np.empty((T, B, 4, H))
+        dh, dc = np.zeros((2, B, H))   # gradient reaching the carried h and c
+        for t in reversed(steps):
+            r = slice(first[t], None)
+            dh += g[:, t]
+            dhr, dcr = dh[r], dc[r]
+            fac = factors[t, r]
+            dcr += dhr * fac[:, 4]
+            dz = dZ[t, r]
+            np.multiply(dcr[:, None, :], fac[:, :3], out=dz[:, :3])
+            np.multiply(dhr, fac[:, 3], out=dz[:, 3])
+            np.matmul(dz.reshape(-1, 4 * H), Wh_T, out=dhr)
+            dcr *= fac[:, 5]
+            if first[t]:
+                dZ[t, :first[t]] = 0.0
+        # one row per (b, t), in the order of xs
+        dZ = dZ.reshape(T, B, 4 * H)[:, back].transpose(1, 0, 2).reshape(B * T, 4 * H)
+        if xs.requires_grad:
+            xs._accum((dZ @ Wx.data.T).reshape(xs.data.shape))
+        if Wx.requires_grad:
+            Wx._accum(xs.data.reshape(B * T, -1).T @ dZ)
+        if Wh.requires_grad:
+            Wh._accum(h_prev.reshape(B * T, H).T @ dZ)
+        if b.requires_grad:
+            b._accum(dZ.sum(axis=0))
+    return ad.node(hs, (xs, Wx, Wh, b), _bw)
+
+
 def ragged_mask(lengths, T):
     return (np.arange(T)[None, :] < np.asarray(lengths)[:, None]).astype(float)
 
@@ -240,14 +332,14 @@ def _value_and_grads(fn, arrays, mask, cotangent, reverse):
 
 
 @st.composite
-def lstm_cases(draw):
+def lstm_cases(draw, widths=st.integers(1, 5), hiddens=st.sampled_from([1, 3, 8, 33, 200])):
     """A layer's shapes and a prefix mask: ragged rows in any length order,
     all-zero rows and B = 1 all occur; `full` makes every row real at
-    every step."""
+    every step.  D is drawn from `widths`, H from `hiddens`."""
     B = draw(st.integers(1, 6))
     T = draw(st.integers(1, 7))
-    D = draw(st.integers(1, 5))
-    H = draw(st.sampled_from([1, 3, 8, 33, 200]))
+    D = draw(widths)
+    H = draw(hiddens)
     full = draw(st.booleans())
     if full:
         mask = np.ones((B, T))
@@ -317,6 +409,55 @@ class TestPackedLSTMOracle:
             return (out * cotangent).sum()
 
         assert ad.finite_difference_check(loss_fn, params) < 1e-4
+
+
+class TestPackedProjectionOracle:
+    """`bilm.lstm_forward` projects only the real (row, step) pairs; the op
+    that projected every pair, kept above as `sorted_lstm_forward`, is its
+    oracle."""
+
+    # the widths the workloads use, so real BLAS tiles run; the examples
+    # are full T = 1 batches, whose 3-D product numpy runs as GEMVs
+    @settings(max_examples=40, deadline=None)
+    @given(lstm_cases(st.sampled_from([64, 178, 400]), st.sampled_from([16, 128, 200])))
+    @example((2, 1, 178, 128, np.ones((2, 1)), True, False, 0))
+    @example((5, 1, 400, 16, np.ones((5, 1)), True, True, 1))
+    def test_matches_full_projection(self, case):
+        B, T, D, H, mask, full, reverse, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = {"xs": rng.normal(size=(B, T, D)),
+                  "Wx": rng.normal(size=(D, 4 * H)) * (0.5 / np.sqrt(D)),
+                  "Wh": rng.normal(size=(H, 4 * H)) * (0.5 / np.sqrt(H)),
+                  "b": rng.normal(size=4 * H) * 0.5}
+        cotangent = rng.normal(size=(B, T, H))
+        want, want_grads = _value_and_grads(sorted_lstm_forward, arrays, mask,
+                                            cotangent, reverse)
+        got, got_grads = _value_and_grads(bilm.lstm_forward, arrays, mask,
+                                          cotangent, reverse)
+        pairs = [(got, want)] + [(got_grads[k], want_grads[k]) for k in arrays]
+        for a, b in pairs:
+            if full:
+                assert np.array_equal(a, b)
+            else:
+                assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_padded_inputs_are_never_read(self, reverse):
+        rng = np.random.default_rng(6)
+        B, T, D, H = 5, 7, 64, 16
+        # unsorted, with a row that is padding throughout
+        mask = ragged_mask([3, 7, 0, 5, 1], T)
+        xs = rng.normal(size=(B, T, D))
+        poisoned = np.where(mask[..., None] == 1.0, xs, np.nan)
+        weights = [ad.parameter(name, rng.normal(size=shape) * 0.3) for name, shape
+                   in (("Wx", (D, 4 * H)), ("Wh", (H, 4 * H)), ("b", (4 * H,)))]
+        with ad.no_grad():
+            clean, got = (bilm.lstm_forward(ad.constant(x), mask, *weights,
+                                            reverse=reverse).data
+                          for x in (xs, poisoned))
+        real = mask == 1.0
+        assert not np.isnan(got).any()
+        assert np.array_equal(got[real], clean[real])
 
 
 class TestLSTM:

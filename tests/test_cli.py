@@ -625,7 +625,8 @@ MALFORMED = {
         ["evaluate", "--gold", "BAD", "--pred", "BAD"],
         ["evaluate", "--gold", "TEST", "--pred", "BAD"],
         ["analyze", "--corpus", "BAD", "--test", "TEST"],
-        ["analyze", "--corpus", "TRAIN", "--test", "BAD"]]),
+        ["analyze", "--corpus", "TRAIN", "--test", "BAD"],
+        ["convert-bio", "--corpus", "BAD"]]),
 }
 MALFORMED_CASES = [(kind, argv) for kind, (_, argvs) in MALFORMED.items()
                    for argv in argvs]
