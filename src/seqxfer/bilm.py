@@ -121,16 +121,18 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     """Run one LSTM layer over xs [B, T, D] whose [B, T] mask has each row
     1 over a prefix and 0 after it; padded steps carry state through.
 
-    One graph node for the whole layer.  The input projection runs once,
-    before the recurrence: with padding, as one GEMM over just the real
-    (row, step) pairs; without, as the product over all of xs, kept since
-    a 2-D GEMM can round otherwise at T = 1, where numpy runs that product
-    as a GEMV per row.  The rows are sorted by length once (a batch
-    already sorted ascending, as every LM and `predict` batch is, is used
-    as it is), so the rows real at step t are the last ones of the sorted
-    batch, and each step of the recurrence, and of the hand-written BPTT
-    over the stored activations, runs on views of just those rows.  The
-    other rows carry state forward and gradient back unchanged.
+    One graph node for the whole layer.  The rows are sorted by length
+    once (a batch already sorted ascending, as every LM and `predict`
+    batch is, is used as it is), so the rows real at step t are the last
+    ones of the sorted batch.  Each array the hand-written BPTT reads holds
+    just the N real (row, step) pairs, step-major, so each step, forward
+    and backward, runs on a view of its real rows and one block of those
+    arrays; the other rows carry state and gradient unchanged.  The input
+    projection runs once: with padding, as one GEMM over the real pairs;
+    without, as the product over all of xs, since a 2-D GEMM can round
+    otherwise at T = 1, where numpy runs that product as a GEMV per row.
+    The weight gradients sum over all B*T rows of xs, in its order, with a
+    zero dz at each padded pair.
     """
     B, T, _ = xs.data.shape
     H = Wh.data.shape[0]
@@ -141,81 +143,74 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
         order = np.argsort(lengths, kind="stable")
         back = np.argsort(order)
         ls.sort()
-    # rows first[t]: of the sorted batch are the ones real at step t
+    # rows first[t]: of the sorted batch are the ones real at step t, and
+    # rows starts[t]:starts[t + 1] of each packed [N, .] array
     first = [bisect.bisect_right(ls, t) for t in range(T)]
+    starts = [0, *itertools.accumulate(B - f for f in first)]
+    N = starts[-1]
+    real = np.arange(T)[:, None] < lengths[order]
     scale, shift = _gate_constants(H)
-    if ls and ls[0] < T:
-        # padding: the real (row, step) pairs, step-major, so step t's
-        # rows of the sorted batch are one block zs[t] of the product
-        real = np.arange(T)[:, None] < np.array(ls)
+    if N < B * T:
         Z = xs.data[order].transpose(1, 0, 2)[real] @ Wx.data
         Z += b.data
-        counts = [B - f for f in first]
-        zs = [Z[e - n:e] for n, e in zip(counts, itertools.accumulate(counts))]
+        zs = [Z[s:e] for s, e in itertools.pairwise(starts)]
     else:
         zs = (xs.data @ Wx.data + b.data).transpose(1, 0, 2)
-    acts = np.empty((T, B, 4 * H))     # gate activations, per time index
-    tanh_c = np.empty((T, B, H))       # tanh of the step's new cell
+    acts = np.empty((N, 4 * H))        # gate activations
+    tanh_c = np.empty((N, H))          # tanh of the pair's new cell
+    c_in = np.empty((N, H))            # the pair's incoming cell
     hs = np.empty((B, T, H))           # carried h: the layer's output
-    cs = np.empty((T, B, H))           # carried c
     h, c = np.zeros((2, B, H))
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
-        r = slice(first[t], None)
+        r, p = slice(first[t], None), slice(starts[t], starts[t + 1])
         hr, cr = h[r], c[r]
-        z = (zs[t] + hr @ Wh.data) * scale
-        a = np.tanh(z, out=acts[t, r])
+        c_in[p] = cr
+        a = np.multiply(zs[t] + hr @ Wh.data, scale, out=acts[p])
+        np.tanh(a, out=a)
         a *= scale
         a += shift
         ig = a[:, :H] * a[:, 2 * H:3 * H]
         cr *= a[:, H:2 * H]
         cr += ig
-        np.multiply(a[:, 3 * H:], np.tanh(cr, out=tanh_c[t, r]), out=hr)
-        if first[t]:    # never read back; zeros keep the BPTT factors finite
-            acts[t, :first[t]] = tanh_c[t, :first[t]] = 0.0
-        cs[t] = c
+        np.multiply(a[:, 3 * H:], np.tanh(cr, out=tanh_c[p]), out=hr)
         hs[:, t] = h
     hs = hs[back]
 
     def _bw(g):
-        # each step's incoming state: h in the row order of xs, c sorted
-        zero = np.zeros((B, 1, H))
-        if reverse:
-            h_prev = np.concatenate([hs[:, 1:], zero], axis=1)
-            c_prev = np.concatenate([cs[1:], zero.reshape(1, B, H)])
-        else:
-            h_prev = np.concatenate([zero, hs[:, :-1]], axis=1)
-            c_prev = np.concatenate([zero.reshape(1, B, H), cs[:-1]])
-        i, f = acts[..., :H], acts[..., H:2 * H]
-        gg, o = acts[..., 2 * H:3 * H], acts[..., 3 * H:]
+        zero = np.zeros((B, 1, H))     # each step's incoming h, in xs order
+        h_prev = np.concatenate([hs[:, 1:], zero] if reverse else [zero, hs[:, :-1]], axis=1)
+        i, f = acts[:, :H], acts[:, H:2 * H]
+        gg, o = acts[:, 2 * H:3 * H], acts[:, 3 * H:]
         # dz of each gate is (dc_new or dh_new) times one of the first four
         # factors; dc_new gains dh_new times the fifth and leaves times f
-        factors = np.empty((T, B, 6, H))
-        factors[:, :, 0] = gg * i * (1.0 - i)
-        factors[:, :, 1] = c_prev * f * (1.0 - f)
-        factors[:, :, 2] = i * (1.0 - gg * gg)
-        factors[:, :, 3] = tanh_c * o * (1.0 - o)
-        factors[:, :, 4] = o * (1.0 - tanh_c * tanh_c)
-        factors[:, :, 5] = f
+        factors = np.empty((N, 6, H))
+        factors[:, 0] = gg * i * (1.0 - i)
+        factors[:, 1] = c_in * f * (1.0 - f)
+        factors[:, 2] = i * (1.0 - gg * gg)
+        factors[:, 3] = tanh_c * o * (1.0 - o)
+        factors[:, 4] = o * (1.0 - tanh_c * tanh_c)
+        factors[:, 5] = f
         Wh_T = Wh.data.T
         g = g[order]
-        dZ = np.empty((T, B, 4, H))
+        dZ = np.empty((N + 1, 4, H))
+        dZ[N] = 0.0                    # the dz of every padded pair
         dh, dc = np.zeros((2, B, H))   # gradient reaching the carried h and c
         for t in reversed(steps):
-            r = slice(first[t], None)
+            r, p = slice(first[t], None), slice(starts[t], starts[t + 1])
             dh += g[:, t]
             dhr, dcr = dh[r], dc[r]
-            fac = factors[t, r]
+            fac = factors[p]
             dcr += dhr * fac[:, 4]
-            dz = dZ[t, r]
+            dz = dZ[p]
             np.multiply(dcr[:, None, :], fac[:, :3], out=dz[:, :3])
             np.multiply(dhr, fac[:, 3], out=dz[:, 3])
             np.matmul(dz.reshape(-1, 4 * H), Wh_T, out=dhr)
             dcr *= fac[:, 5]
-            if first[t]:
-                dZ[t, :first[t]] = 0.0
-        # one row per (b, t), in the order of xs
-        dZ = dZ.reshape(T, B, 4 * H)[:, back].transpose(1, 0, 2).reshape(B * T, 4 * H)
+        # one row per (b, t), in the order of xs: its pair's row, or row N
+        packed = np.full((T, B), N)
+        packed[real] = np.arange(N)
+        dZ = np.take(dZ.reshape(N + 1, 4 * H), packed.T[back].reshape(-1), axis=0)
         if xs.requires_grad:
             xs._accum((dZ @ Wx.data.T).reshape(xs.data.shape))
         if Wx.requires_grad:
@@ -419,6 +414,7 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
             total += float(loss.data) * batch.n_tokens
             count += batch.n_tokens
             step(loss)
+            del loss    # batch k's graph must not outlive its step
         epoch_losses.append(total / count)
         if log_fn:
             log_fn(f"epoch={epoch + 1} lm_train_loss={epoch_losses[-1]:.6f}")

@@ -6,7 +6,6 @@ manifest index order.  Loading validates each declared shape against the
 payload; save -> load -> save is byte-identical.
 """
 
-import contextlib
 import hashlib
 import json
 import math
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, write_atomic
 from .errors import DataError, TransferError
 
 MAGIC = b"SEQXFER1\n"
@@ -90,21 +89,8 @@ class Checkpoint:
         doc["char_vocab"] = self.char_vocab.to_dict() if self.char_vocab else None
         text = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
         blob = text.encode("utf-8")
-        # write beside the target, then rename over it: a failed write
-        # leaves any previous checkpoint at `path` untouched
-        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(MAGIC)
-                fh.write(f"{len(blob)}\n".encode("ascii"))
-                fh.write(blob)
-                for arr in arrays:    # each tensor's own buffer, uncopied
-                    fh.write(arr.data)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, [MAGIC, f"{len(blob)}\n".encode("ascii"), blob,
+                            *(arr.data for arr in arrays)])   # buffers, uncopied
 
     @classmethod
     def load(cls, path):

@@ -299,7 +299,7 @@ def cmd_train_tagger(args, cfg, default_head):
     ck.save(args.out)
     _emit(f"checkpoint {args.out}")
     if report is not None:
-        Path(str(args.out) + ".report.txt").write_text(report.to_text())
+        corpus_mod.write_atomic(f"{args.out}.report.txt", [report.to_text().encode("utf-8")])
     if test is not None:
         pred = tagger_mod.predict(test, model)
         if bio:
@@ -319,7 +319,7 @@ def cmd_transfer_init(args, cfg):
         "tagger", arch, tensors, word_vocab=word_vocab,
         provenance=[{"event": "transfer_init", "source": args.init}])
     ck.save(args.out)
-    Path(str(args.out) + ".report.txt").write_text(report.to_text())
+    corpus_mod.write_atomic(f"{args.out}.report.txt", [report.to_text().encode("utf-8")])
     _emit(f"checkpoint {args.out}")
     return 0
 

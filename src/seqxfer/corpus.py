@@ -6,7 +6,9 @@ pre-trained word-vector loading and the padded batches of the LM and
 the tagger.
 """
 
+import contextlib
 import io
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,6 +116,21 @@ def read_lines(source):
     return [line.rstrip("\n") for line in source]
 
 
+def write_atomic(path, chunks):
+    """Write the bytes-like `chunks` to a temporary file beside `path`, then
+    rename it over `path`: a failed write leaves the old file and no temp."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _where(source, lineno):
     """'path:N' for a file path source, 'line N' for other sources."""
     return f"{source}:{lineno}" if isinstance(source, (str, Path)) else f"line {lineno}"
@@ -144,23 +161,22 @@ def read_conll(source):
 
 
 def write_conll(sentences, dest=None):
-    """Write 'token tag' lines, one blank line between sentences."""
-    buf = io.StringIO() if dest is None else dest
-    close = False
-    if isinstance(dest, (str, Path)):
-        buf = open(dest, "w", encoding="utf-8")
-        close = True
-    try:
-        for sent in sentences:
-            for tok, tag in zip(sent.tokens, sent.tags):
-                buf.write(f"{tok} {tag}\n")
-            buf.write("\n")
-    finally:
-        if close:
-            buf.close()
+    """Write 'token tag' lines, one blank line between sentences, to a path
+    (by `write_atomic`) or a file object, or return them.  A token or tag
+    that is empty or holds whitespace cannot read back: a ContractError."""
+    lines = []
+    for i, sent in enumerate(sentences):
+        for s in (*sent.tokens, *sent.tags):
+            if s.split() != [s]:
+                raise ContractError(f"sentence {i}: {s!r} is empty or holds whitespace")
+        lines += [f"{tok} {tag}\n" for tok, tag in zip(sent.tokens, sent.tags)] + ["\n"]
+    text = "".join(lines)
     if dest is None:
-        return buf.getvalue()
-    return None
+        return text
+    if isinstance(dest, (str, Path)):
+        write_atomic(dest, [text.encode("utf-8")])
+    else:
+        dest.write(text)
 
 
 def read_sentences(source):

@@ -568,6 +568,7 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
             nll = model.sentence_loss(batch, rng)
             total += float(nll.data)
             step(nll / len(batch))
+            del nll     # batch k's graph must not outlive its step
         epochs_run = epoch + 1
         train_losses.append(total / len(train))
         if log_fn:

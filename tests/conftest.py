@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seqxfer import autodiff as ad
+from seqxfer import corpus as corpus_mod
 from seqxfer.bilm import BiLMConfig
 from seqxfer.corpus import LabeledSequence
 from seqxfer.encoder import CharEncoderConfig
@@ -35,6 +36,41 @@ def pytest_report_header(config):
     return (f"numpy {np.__version__}, OPENBLAS_NUM_THREADS="
             f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
             f"OpenBLAS core {_openblas_core()}")
+
+
+class FailingWrites:
+    """File wrapper whose `fail_at`-th write stops halfway with a disk-full
+    error."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.calls, self.fail_at = fh, 0, fail_at
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            chunk = data if isinstance(data, str) else bytes(data)
+            self.fh.write(chunk[:len(chunk) // 2])
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """`disk_full(fail_at, match="")`: every file that `corpus.write_atomic`
+    opens, the one writer of checkpoints, reports and CoNLL files, from
+    then on fails at its `fail_at`-th write if `match` is in its path."""
+    def arm(fail_at, match=""):
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return FailingWrites(fh, fail_at) if "w" in mode and match in str(file) else fh
+        monkeypatch.setattr(corpus_mod, "open", failing_open, raising=False)
+    return arm
 
 
 def tanh(x):

@@ -1,6 +1,8 @@
 import bisect
 import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -188,6 +190,107 @@ def sorted_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
         r = slice(first[t], None)
         hr, cr = h[r], c[r]
         z = (Z[r, t] + hr @ Wh.data) * scale
+        a = np.tanh(z, out=acts[t, r])
+        a *= scale
+        a += shift
+        ig = a[:, :H] * a[:, 2 * H:3 * H]
+        cr *= a[:, H:2 * H]
+        cr += ig
+        np.multiply(a[:, 3 * H:], np.tanh(cr, out=tanh_c[t, r]), out=hr)
+        if first[t]:    # never read back; zeros keep the BPTT factors finite
+            acts[t, :first[t]] = tanh_c[t, :first[t]] = 0.0
+        cs[t] = c
+        hs[:, t] = h
+    hs = hs[back]
+
+    def _bw(g):
+        # each step's incoming state: h in the row order of xs, c sorted
+        zero = np.zeros((B, 1, H))
+        if reverse:
+            h_prev = np.concatenate([hs[:, 1:], zero], axis=1)
+            c_prev = np.concatenate([cs[1:], zero.reshape(1, B, H)])
+        else:
+            h_prev = np.concatenate([zero, hs[:, :-1]], axis=1)
+            c_prev = np.concatenate([zero.reshape(1, B, H), cs[:-1]])
+        i, f = acts[..., :H], acts[..., H:2 * H]
+        gg, o = acts[..., 2 * H:3 * H], acts[..., 3 * H:]
+        # dz of each gate is (dc_new or dh_new) times one of the first four
+        # factors; dc_new gains dh_new times the fifth and leaves times f
+        factors = np.empty((T, B, 6, H))
+        factors[:, :, 0] = gg * i * (1.0 - i)
+        factors[:, :, 1] = c_prev * f * (1.0 - f)
+        factors[:, :, 2] = i * (1.0 - gg * gg)
+        factors[:, :, 3] = tanh_c * o * (1.0 - o)
+        factors[:, :, 4] = o * (1.0 - tanh_c * tanh_c)
+        factors[:, :, 5] = f
+        Wh_T = Wh.data.T
+        g = g[order]
+        dZ = np.empty((T, B, 4, H))
+        dh, dc = np.zeros((2, B, H))   # gradient reaching the carried h and c
+        for t in reversed(steps):
+            r = slice(first[t], None)
+            dh += g[:, t]
+            dhr, dcr = dh[r], dc[r]
+            fac = factors[t, r]
+            dcr += dhr * fac[:, 4]
+            dz = dZ[t, r]
+            np.multiply(dcr[:, None, :], fac[:, :3], out=dz[:, :3])
+            np.multiply(dhr, fac[:, 3], out=dz[:, 3])
+            np.matmul(dz.reshape(-1, 4 * H), Wh_T, out=dhr)
+            dcr *= fac[:, 5]
+            if first[t]:
+                dZ[t, :first[t]] = 0.0
+        # one row per (b, t), in the order of xs
+        dZ = dZ.reshape(T, B, 4 * H)[:, back].transpose(1, 0, 2).reshape(B * T, 4 * H)
+        if xs.requires_grad:
+            xs._accum((dZ @ Wx.data.T).reshape(xs.data.shape))
+        if Wx.requires_grad:
+            Wx._accum(xs.data.reshape(B * T, -1).T @ dZ)
+        if Wh.requires_grad:
+            Wh._accum(h_prev.reshape(B * T, H).T @ dZ)
+        if b.requires_grad:
+            b._accum(dZ.sum(axis=0))
+    return ad.node(hs, (xs, Wx, Wh, b), _bw)
+
+
+def grid_lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
+    """`bilm.lstm_forward` as it was before its stored arrays held only the
+    real (row, step) pairs: gate activations, tanh(c), the carried cells,
+    the BPTT factors and dZ live on the padded [T, B, .] grid, whose padded
+    entries are zeroed at every step, and dZ is permuted back into the row
+    order of xs.  The packed op must equal it bit for bit."""
+    B, T, _ = xs.data.shape
+    H = Wh.data.shape[0]
+    lengths = prefix_lengths(mask, (B, T))
+    order = back = slice(None)
+    ls = lengths.tolist()
+    if ls != sorted(ls):
+        order = np.argsort(lengths, kind="stable")
+        back = np.argsort(order)
+        ls.sort()
+    # rows first[t]: of the sorted batch are the ones real at step t
+    first = [bisect.bisect_right(ls, t) for t in range(T)]
+    scale, shift = bilm._gate_constants(H)
+    if ls and ls[0] < T:
+        # padding: the real (row, step) pairs, step-major, so step t's
+        # rows of the sorted batch are one block zs[t] of the product
+        real = np.arange(T)[:, None] < np.array(ls)
+        Z = xs.data[order].transpose(1, 0, 2)[real] @ Wx.data
+        Z += b.data
+        counts = [B - f for f in first]
+        zs = [Z[e - n:e] for n, e in zip(counts, itertools.accumulate(counts))]
+    else:
+        zs = (xs.data @ Wx.data + b.data).transpose(1, 0, 2)
+    acts = np.empty((T, B, 4 * H))     # gate activations, per time index
+    tanh_c = np.empty((T, B, H))       # tanh of the step's new cell
+    hs = np.empty((B, T, H))           # carried h: the layer's output
+    cs = np.empty((T, B, H))           # carried c
+    h, c = np.zeros((2, B, H))
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    for t in steps:
+        r = slice(first[t], None)
+        hr, cr = h[r], c[r]
+        z = (zs[t] + hr @ Wh.data) * scale
         a = np.tanh(z, out=acts[t, r])
         a *= scale
         a += shift
@@ -460,6 +563,83 @@ class TestPackedProjectionOracle:
         assert np.array_equal(got[real], clean[real])
 
 
+class _NaNEmpty:
+    """numpy, except that `empty` hands out NaN-filled arrays, so a read of
+    an entry nothing wrote shows up in the results."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype=dtype)
+
+
+def _lstm_arrays(case):
+    B, T, D, H, mask, full, reverse, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = {"xs": rng.normal(size=(B, T, D)),
+              "Wx": rng.normal(size=(D, 4 * H)) * (0.5 / np.sqrt(D)),
+              "Wh": rng.normal(size=(H, 4 * H)) * (0.5 / np.sqrt(H)),
+              "b": rng.normal(size=4 * H) * 0.5}
+    return arrays, rng.normal(size=(B, T, H))
+
+
+class TestPackedStateOracle:
+    """`bilm.lstm_forward` stores its per-step arrays over just the real
+    (row, step) pairs; the op that stored them on the padded grid, kept
+    above as `grid_lstm_forward`, is its oracle.  Every sum keeps its
+    operands and its order, so the two agree bit for bit, padded or not."""
+
+    # the widths the workloads use, so real BLAS tiles run; the examples
+    # are full T = 1 batches, whose 3-D product numpy runs as GEMVs
+    @settings(max_examples=40, deadline=None)
+    @given(lstm_cases(st.sampled_from([64, 178, 400]), st.sampled_from([16, 128, 200])))
+    @example((2, 1, 178, 128, np.ones((2, 1)), True, False, 0))
+    @example((5, 1, 400, 16, np.ones((5, 1)), True, True, 1))
+    @example((1, 1, 64, 200, np.ones((1, 1)), True, False, 2))
+    @example((4, 6, 178, 128, ragged_mask([2, 6, 0, 4], 6), False, True, 3))
+    def test_matches_grid_op(self, case):
+        arrays, cotangent = _lstm_arrays(case)
+        mask, reverse = case[4], case[6]
+        want, want_grads = _value_and_grads(grid_lstm_forward, arrays, mask,
+                                            cotangent, reverse)
+        got, got_grads = _value_and_grads(bilm.lstm_forward, arrays, mask,
+                                          cotangent, reverse)
+        assert np.array_equal(got, want)
+        for name in arrays:
+            assert np.array_equal(got_grads[name], want_grads[name]), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(lstm_cases())
+    @example((4, 6, 3, 8, ragged_mask([2, 6, 0, 4], 6), False, False, 0))
+    @example((4, 6, 3, 8, ragged_mask([2, 6, 0, 4], 6), False, True, 0))
+    def test_reads_no_unwritten_entry(self, case):
+        """Each array the op leaves unfilled starts as NaN: the value and
+        all four gradients still equal a clean run bit for bit."""
+        arrays, cotangent = _lstm_arrays(case)
+        mask, reverse = case[4], case[6]
+        want, want_grads = _value_and_grads(bilm.lstm_forward, arrays, mask,
+                                            cotangent, reverse)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bilm, "np", _NaNEmpty())
+            got, got_grads = _value_and_grads(bilm.lstm_forward, arrays, mask,
+                                              cotangent, reverse)
+        assert np.array_equal(got, want)
+        for name in arrays:
+            assert np.array_equal(got_grads[name], want_grads[name]), name
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_padded_inputs_get_exactly_zero_gradient(self, reverse):
+        # unsorted, with a row that is padding throughout
+        mask = ragged_mask([3, 7, 0, 5, 1], 7)
+        arrays, cotangent = _lstm_arrays((5, 7, 64, 16, mask, False, reverse, 6))
+        _, grads = _value_and_grads(bilm.lstm_forward, arrays, mask, cotangent, reverse)
+        padded = grads["xs"][mask == 0.0]
+        assert padded.size and (padded == 0.0).all()
+        assert (grads["xs"][mask == 1.0] != 0.0).any()
+
+
 class TestLSTM:
     def test_matches_numpy_reference_both_directions(self):
         rng = np.random.default_rng(0)
@@ -698,6 +878,53 @@ class TestTrainingEncodesEachBatch:
                         provider=provider)
         assert len(seen) == len(used) == 4
         assert all(ids is b.uniq_char_ids for ids, b in zip(seen, used))
+
+
+def _dead_before_next_call(monkeypatch, owner, name):
+    """Wrap owner.name, which returns a batch's loss, so that each call
+    first checks that the previous call's loss array has been freed; returns
+    the list of weak references, one per call.  `Tensor` has no weakref
+    slot, so the references are to its data."""
+    refs, fn = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in refs), "the last batch's graph is alive"
+        loss = fn(*args, **kwargs)
+        refs.append(weakref.ref(loss.data))
+        return loss
+    monkeypatch.setattr(owner, name, spy)
+    return refs
+
+
+class TestOneGraphAliveAtATime:
+    """A trainer drops batch k's graph, with every LSTM's stored arrays,
+    after its step, before batch k + 1's forward runs.  Reference counting
+    alone must free it: the garbage collector is off while they train."""
+
+    @pytest.fixture(autouse=True)
+    def no_gc(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("anchor", [0.0, 0.5])
+    def test_train_lm(self, monkeypatch, anchor):
+        config, vocab, cvocab, _ = _setup()
+        ck = bilm.train_lm(SENTS, vocab, cvocab, config, epochs=1, seed=0)
+        refs = _dead_before_next_call(monkeypatch, bilm, "bilm_loss")
+        bilm.train_lm(SENTS * 2, epochs=2, batch_size=2, init=ck, anchor_coeff=anchor)
+        assert len(refs) == 6
+
+    def test_train_tagger(self, monkeypatch):
+        corpus = toy_ner_corpus(6)
+        chars, config = build_char_vocab([s.tokens for s in corpus]), tiny_bilm_config()
+        provider = tg.ContextualProvider(
+            bilm.init_bilm_params(config, len(chars), 6, seed=0), config, chars)
+        refs = _dead_before_next_call(monkeypatch, tg.TaggerModel, "sentence_loss")
+        tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus),
+                        tiny_tagger_config(anchor_coeff=0.5), epochs=2, batch_size=2,
+                        seed=0, provider=provider)
+        assert len(refs) == 6
 
 
 def transpose(x):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqxfer import checkpoint as checkpoint_mod
 from seqxfer.checkpoint import MAGIC, Checkpoint
 from seqxfer.corpus import build_char_vocab, build_vocab
 from seqxfer.errors import DataError
@@ -154,36 +153,12 @@ class TestMalformedHeader:
             Checkpoint.load(path)
 
 
-class _FailingWrites:
-    """File wrapper whose last write stops halfway with a disk-full error."""
-
-    def __init__(self, fh, fail_at):
-        self.fh, self.calls, self.fail_at = fh, 0, fail_at
-
-    def write(self, data):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            self.fh.write(bytes(data)[:len(data) // 2])
-            raise OSError(28, "No space left on device")
-        return self.fh.write(data)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return self.fh.__exit__(*exc)
-
-
 class TestAtomicSave:
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, disk_full):
         path = tmp_path / "m.ckpt"
         _sample(0).save(path)
         before = path.read_bytes()
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            return _FailingWrites(open(file, mode, *args, **kwargs), fail_at=4)
-
-        monkeypatch.setattr(checkpoint_mod, "open", failing_open, raising=False)
+        disk_full(4)
         with pytest.raises(OSError, match="No space left"):
             _sample(1).save(path)
         monkeypatch.undo()

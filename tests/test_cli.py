@@ -283,6 +283,20 @@ class TestTrainingPipelines:
         assert "tagger.crf.trans" in ini.tensors
 
 
+def test_failed_report_write_keeps_previous_report(ws, capsys, disk_full):
+    """The transfer report goes through the checkpoint's temp-and-rename
+    path: a disk-full error mid-write exits 1 and leaves the old report."""
+    pos = _pos_checkpoint(ws)
+    report = ws / "init.ckpt.report.txt"
+    report.write_text("old report\n")
+    disk_full(1, match=".report.txt")
+    assert _run(["transfer-init", "--config", ws / "tiny.cfg", "--init", pos,
+                 "--train", ws / "train.conll", "--out", ws / "init.ckpt"]) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert report.read_text() == "old report\n"
+    assert not list(ws.glob("*.tmp"))
+
+
 def _pos_checkpoint(ws):
     from seqxfer.corpus import LabeledSequence
     relabel = {"B-PER": "PROPN", "B-LOC": "PROPN", "O": "X"}

@@ -400,3 +400,67 @@ class TestConllFuzz:
         sentences = [cp.LabeledSequence([t for t, _ in s], [g for _, g in s])
                      for s in rows]
         assert cp.read_conll(io.StringIO(cp.write_conll(sentences))) == sentences
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.text(st.characters(blacklist_categories=("Cs",)),
+                                      min_size=1, max_size=6),
+                              st.text(st.characters(blacklist_categories=("Cs",)),
+                                      max_size=6)), min_size=1, max_size=5))
+    def test_write_refuses_or_round_trips(self, rows):
+        sentence = cp.LabeledSequence([t for t, _ in rows], [g for _, g in rows])
+        try:
+            text = cp.write_conll([sentence])
+        except ContractError:
+            return
+        assert cp.read_conll(io.StringIO(text)) == [sentence]
+
+
+class TestWriteConll:
+    OLD = [cp.LabeledSequence(["Jakarta"], ["B-LOC"])]
+    NEW = [cp.LabeledSequence(["di", "Bandung"], ["O", "B-LOC"])] * 40
+
+    @pytest.mark.parametrize("tokens, tags, bad", [
+        (["New York"], ["B-LOC"], "New York"),
+        (["Jakarta"], ["B-\tLOC"], "B-\tLOC"),
+        (["a\u00a0b"], ["O"], "a\u00a0b"),
+        (["x", "y\n"], ["O", "O"], "y\n"),
+        (["x"], [""], ""),
+    ])
+    def test_refuses_what_cannot_round_trip(self, tmp_path, tokens, tags, bad):
+        """A field that is empty or holds whitespace would read back as
+        another sentence: the error names the sentence and the field, and
+        nothing is written."""
+        sentences = self.NEW[:1] + [cp.LabeledSequence(tokens, tags)]
+        path = tmp_path / "out.conll"
+        cp.write_conll(self.OLD, path)
+        buf = io.StringIO()
+        for dest in (None, buf, path):
+            with pytest.raises(ContractError, match=f"sentence 1: {re.escape(repr(bad))}"):
+                cp.write_conll(sentences, dest)
+        assert buf.getvalue() == ""
+        assert cp.read_conll(path) == self.OLD
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, disk_full):
+        path = tmp_path / "out.conll"
+        cp.write_conll(self.OLD, path)
+        before = path.read_bytes()
+        disk_full(1)
+        with pytest.raises(OSError, match="No space left"):
+            cp.write_conll(self.NEW, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.conll"]
+
+
+class TestWriteAtomic:
+    def test_a_failing_chunk_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "f.bin"
+        cp.write_atomic(path, [b"old"])
+
+        def chunks():
+            yield b"new bytes"
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            cp.write_atomic(path, chunks())
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
