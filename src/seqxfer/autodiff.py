@@ -305,6 +305,8 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         for name, p in params.items():
+            if name not in grads:
+                raise ContractError(f"no gradient for parameter {name!r}")
             g = grads[name]
             if g.shape != p.data.shape:
                 raise ContractError(

@@ -23,7 +23,7 @@ from .errors import ContractError, DataError
 
 DIRECTIONS = ("fwd", "bwd")
 HEAD_PARAMS = ("lm.head.W", "lm.head.b")
-PERPLEXITY_BATCH = 32  # sentences per batch in `perplexity`
+EVAL_TOKENS = 1024  # padded (row, step) slots per batch in `perplexity` and `predict`
 
 
 @dataclass
@@ -319,8 +319,8 @@ def perplexity(corpus, params, config, vocab, char_vocab):
     if not corpus:
         raise ContractError("empty corpus")
     total, count = 0.0, 0
-    batches = lm_batches(corpus, vocab, char_vocab, PERPLEXITY_BATCH,
-                         config.encoder.max_word_len, seed=0)
+    batches = lm_batches(corpus, vocab, char_vocab, None, config.encoder.max_word_len,
+                         seed=0, max_tokens=EVAL_TOKENS)
     rows = batches[0].type_char_ids
     types, done = np.zeros((len(rows), config.d_out)), np.zeros(len(rows), dtype=bool)
     with ad.no_grad():
@@ -359,6 +359,10 @@ def training_step(params, lm_params, anchor_coeff, clip_norm, lr):
     """The Adam step of both trainers, as `step(loss)`: with anchor_coeff
     > 0 it adds the pull of the non-head `lm_params` toward their values
     now, then updates `params` in place from their clipped gradients."""
+    if not all(math.isfinite(v) for v in (lr, clip_norm, anchor_coeff)) \
+            or lr <= 0.0 or clip_norm <= 0.0 or anchor_coeff < 0.0:
+        raise ContractError(f"lr and clip_norm must be finite and > 0, anchor_coeff finite and "
+                            f">= 0; got {lr!r}, {clip_norm!r}, {anchor_coeff!r}")
     anchors = {}
     if anchor_coeff > 0.0:
         anchors = {name: p.data.copy() for name, p in lm_params.items()

@@ -441,16 +441,35 @@ def pad_batch(token_lists, word_vocab=None, char_vocab=None, max_word_len=None,
                    max_word_len, tag_ids)[0]
 
 
-def lm_batches(corpus, vocab, char_vocab, batch_size, max_word_len, seed=0):
-    """Shuffle, length-bucket and pad sentences into Batches with LM targets."""
-    if batch_size < 1:
-        raise ContractError("batch_size must be >= 1")
+def chunk_order(order, lengths, max_rows=None, max_tokens=None):
+    """Cut the index sequence `order` into consecutive runs of at most
+    `max_rows` indices whose padded size, rows x the run's longest
+    `lengths[i]`, stays within `max_tokens`.  Every run takes at least one
+    index, so a sentence longer than `max_tokens` runs alone."""
+    if max_rows is not None and max_rows < 1:
+        raise ContractError(f"batch_size must be >= 1, got {max_rows!r}")
+    runs, widest = [], 0
+    for i in order:
+        if runs and len(runs[-1]) != max_rows and (
+                max_tokens is None or max(widest, lengths[i]) * (len(runs[-1]) + 1) <= max_tokens):
+            runs[-1].append(i)
+            widest = max(widest, lengths[i])
+        else:
+            runs.append([i])
+            widest = lengths[i]
+    return runs
+
+
+def lm_batches(corpus, vocab, char_vocab, batch_size, max_word_len, seed=0,
+               max_tokens=None):
+    """Shuffle, length-bucket and pad sentences into Batches with LM targets,
+    cut by `chunk_order` at `batch_size` sentences and `max_tokens` slots."""
     sentences = [s for s in corpus if s]
     rng = np.random.default_rng(seed)
     # stable sort: equal lengths keep their shuffled order
     order = sorted(rng.permutation(len(sentences)).tolist(),
                    key=lambda i: len(sentences[i]))
-    chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+    chunks = chunk_order(order, [len(s) for s in sentences], batch_size, max_tokens)
     chunks = [chunks[ci] for ci in rng.permutation(len(chunks))]
 
     out = batches(sentences, chunks, vocab, char_vocab, max_word_len)

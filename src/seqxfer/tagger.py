@@ -21,7 +21,7 @@ from .autodiff import clip_by_global_norm, reverse_gradients
 from .bilm import BiLMConfig, contextual_states, params_from_tensors, tensors_from_params
 from .checkpoint import Checkpoint
 from .corpus import (Batch, LabeledSequence, UNK, Vocabulary, batches, build_vocab,
-                     prefix_lengths, validate_bio)
+                     chunk_order, prefix_lengths, validate_bio)
 from .errors import ContractError, DataError
 
 FORBIDDEN = -1e4  # fixed score of BIO-illegal transitions
@@ -475,19 +475,16 @@ class TaggerModel:
         return cls(config, ck.word_vocab, labels, params, provider)
 
 
-PREDICT_BATCH = 32  # sentences decoded per padded batch
-
-
 def predict(sentences, model):
     """Tag sentences (token-string lists or LabeledSequences), decoding
-    them in length-sorted batches of up to PREDICT_BATCH."""
+    them in length-sorted batches of up to `bilm.EVAL_TOKENS` padded slots."""
     tokens = [s.tokens if isinstance(s, LabeledSequence) else list(s) for s in sentences]
-    order = sorted(range(len(tokens)), key=lambda i: len(tokens[i]))
+    lengths = [len(t) for t in tokens]
+    order = sorted(range(len(tokens)), key=lengths.__getitem__)
     tags = [None] * len(tokens)
     with ad.no_grad():
-        for lo in range(0, len(order), PREDICT_BATCH):
-            chunk = order[lo:lo + PREDICT_BATCH]
-            for i, t in zip(chunk, model.decode([tokens[i] for i in chunk])):
+        for run in chunk_order(order, lengths, max_tokens=bilm_mod.EVAL_TOKENS):
+            for i, t in zip(run, model.decode([tokens[i] for i in run])):
                 tags[i] = t
     return [LabeledSequence(t, g) for t, g in zip(tokens, tags)]
 
@@ -555,12 +552,12 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
     best_score, best_epoch, best_state = -1.0, -1, None
 
     epochs_run = 0
+    lengths = [len(s) for s in train]
     for epoch in range(epochs):
         rng = np.random.default_rng(seed * 99991 + epoch)
         order = rng.permutation(len(train))
         total = 0.0
-        for batch in model.batches(train, [order[lo:lo + batch_size]
-                                           for lo in range(0, len(order), batch_size)]):
+        for batch in model.batches(train, chunk_order(order, lengths, batch_size)):
             if swap_unk:
                 swap = single[batch.word_ids] & (batch.mask == 1.0) \
                     & (rng.random(batch.mask.shape) < config.unk_rate)

@@ -195,6 +195,11 @@ class TestAdam:
         with pytest.raises(ContractError):
             ad.Adam().step({"p": p}, {"p": np.ones(4)})
 
+    def test_missing_gradient_names_parameter(self):
+        p = ad.parameter("p", np.ones(3))
+        with pytest.raises(ContractError, match="no gradient for parameter 'p'"):
+            ad.Adam().step({"p": p}, {})
+
     def test_moments_are_allocated_once_per_parameter(self, monkeypatch):
         made, zeros_like = [], np.zeros_like
 

@@ -134,14 +134,16 @@ def test_lm_training_runs_through_the_wrappers(tracing):
     assert 0.0 < summary["coverage"]["finetune"] <= 1.0
 
 
-def test_perplexity_runs_through_the_wrappers(tracing):
+def test_perplexity_runs_through_the_wrappers(tracing, monkeypatch):
     """`lm_eval` coverage rests on one `bilm.loss` span per batch and on the
     encoder calls that `perplexity` makes itself."""
     tokens = [s.tokens for s in toy_ner_corpus(40)]
     vocab, chars, config = build_vocab(tokens), build_char_vocab(tokens), tiny_bilm_config()
     params = bilm.init_bilm_params(config, len(chars), len(vocab), seed=0)
-    n_batches = len(bilm.lm_batches(tokens, vocab, chars, bilm.PERPLEXITY_BATCH,
-                                    config.encoder.max_word_len))
+    # room for 32 of the longest sentence: the 40 need a second batch
+    monkeypatch.setattr(bilm, "EVAL_TOKENS", 32 * max(map(len, tokens)))
+    n_batches = len(bilm.lm_batches(tokens, vocab, chars, None, config.encoder.max_word_len,
+                                    max_tokens=bilm.EVAL_TOKENS))
     tracer = tracing.Tracer(seed=0)
     with tracer.phase("lm_eval"):
         bilm.perplexity(tokens, params, config, vocab, chars)

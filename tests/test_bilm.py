@@ -740,13 +740,14 @@ class TestBiLMLoss:
 def reference_perplexity(corpus, params, config, vocab, char_vocab):
     """`bilm.perplexity` as it was before it ran without a graph and
     encoded each word type once per call: every batch char-encodes its own
-    distinct words.  The new one must equal it exactly."""
+    distinct words.  Its batches are cut as `perplexity` cuts them, by the
+    `bilm.EVAL_TOKENS` budget.  The new one must equal it exactly."""
     corpus = [s for s in corpus if s]
     if not corpus:
         raise ContractError("empty corpus")
     total, count = 0.0, 0
-    for batch in lm_batches(corpus, vocab, char_vocab, bilm.PERPLEXITY_BATCH,
-                            config.encoder.max_word_len, seed=0):
+    for batch in lm_batches(corpus, vocab, char_vocab, None, config.encoder.max_word_len,
+                            seed=0, max_tokens=bilm.EVAL_TOKENS):
         fwd, bwd, n = bilm.bilm_loss_parts(batch, params, config)
         total += float(fwd.data) + float(bwd.data)
         count += n
@@ -758,6 +759,11 @@ def reference_perplexity(corpus, params, config, vocab, char_vocab):
 GROWING = [["red", "fox"], ["red", "owl", "ran"], ["blue", "fox", "sat"],
            ["red", "fox", "ran"], ["abcdefghijkl", "owl"], ["abcdefghijmn", "sat", "down"],
            ["blue", "owl"]]
+
+
+def room_for(rows):
+    """A `bilm.EVAL_TOKENS` budget of `rows` rows of GROWING's longest sentence."""
+    return rows * max(map(len, GROWING))
 
 
 def _encoder_calls(monkeypatch):
@@ -773,9 +779,9 @@ def _encoder_calls(monkeypatch):
 
 class TestPerplexityTypeTable:
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("batch", [2, 3, bilm.PERPLEXITY_BATCH])
+    @pytest.mark.parametrize("batch", [2, 3, 32])
     def test_equals_the_per_batch_oracle(self, monkeypatch, layers, batch):
-        monkeypatch.setattr(bilm, "PERPLEXITY_BATCH", batch)
+        monkeypatch.setattr(bilm, "EVAL_TOKENS", room_for(batch))
         config = tiny_bilm_config(lm_layers=layers)
         vocab, cvocab = build_vocab(GROWING[:4]), build_char_vocab(GROWING)
         for seed in range(3):
@@ -792,11 +798,12 @@ class TestPerplexityTypeTable:
             == reference_perplexity(sent, params, config, vocab, cvocab)
 
     def test_each_type_is_encoded_once_per_call(self, monkeypatch):
-        monkeypatch.setattr(bilm, "PERPLEXITY_BATCH", 2)
+        monkeypatch.setattr(bilm, "EVAL_TOKENS", room_for(2))
         config = tiny_bilm_config()
         vocab, cvocab = build_vocab(GROWING[:2]), build_char_vocab(GROWING)
         params = bilm.init_bilm_params(config, len(cvocab), len(vocab), 0)
-        batches = lm_batches(GROWING, vocab, cvocab, 2, config.encoder.max_word_len)
+        batches = lm_batches(GROWING, vocab, cvocab, None, config.encoder.max_word_len,
+                             max_tokens=room_for(2))
         held = [set(np.unique(b.type_ids).tolist()) for b in batches]
         new = [len(h - set().union(*held[:i])) for i, h in enumerate(held)]
         assert any(0 < n < len(h) for n, h in zip(new[1:], held[1:]))
@@ -810,7 +817,7 @@ class TestPerplexityTypeTable:
         assert all(n <= len(b.uniq_char_ids) for n, b in zip(new, batches))
 
     def test_a_batch_with_no_new_type_makes_no_call(self, monkeypatch):
-        monkeypatch.setattr(bilm, "PERPLEXITY_BATCH", 2)
+        monkeypatch.setattr(bilm, "EVAL_TOKENS", 4)
         corpus = [["red", "fox"], ["fox", "red"], ["red", "red"], ["fox", "fox"]]
         config, vocab, cvocab, params = _setup()
         calls = _encoder_calls(monkeypatch)
@@ -1143,6 +1150,22 @@ class TestTrainLM:
         passed = {"vocab": vocab, "char_vocab": cvocab, "config": config}
         with pytest.raises(ContractError, match="with init"):
             bilm.train_lm(SENTS, epochs=1, init=ck, **{given: passed[given]})
+
+    @pytest.mark.parametrize("bad", [
+        {"clip_norm": 0.0}, {"clip_norm": -5.0}, {"clip_norm": math.nan},
+        {"lr": -0.1}, {"lr": 0.0}, {"lr": math.inf},
+        {"anchor_coeff": -0.5}, {"anchor_coeff": math.nan}])
+    def test_bad_step_settings_are_refused_before_training(self, monkeypatch, bad):
+        """A step size or clip norm that is not finite and > 0, or an anchor
+        weight that is not finite and >= 0, would train nothing or uphill."""
+        config, vocab, cvocab, _ = _setup()
+
+        def no_batches(*args, **kwargs):
+            raise AssertionError("batched the corpus before checking the settings")
+
+        monkeypatch.setattr(bilm, "lm_batches", no_batches)
+        with pytest.raises(ContractError, match="must be finite"):
+            bilm.train_lm(SENTS, vocab, cvocab, config, epochs=1, seed=0, **bad)
 
 
     def test_grown_word_vocabulary_is_refused_before_training(self, tmp_path,

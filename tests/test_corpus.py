@@ -235,6 +235,40 @@ class TestLMBatches:
         assert not batch.uniq_char_ids[0].any()
 
 
+class TestChunkOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 12), max_size=40), st.randoms(use_true_random=False),
+           st.none() | st.integers(1, 6), st.none() | st.integers(1, 48))
+    def test_runs_are_maximal_within_both_caps(self, lengths, rnd, max_rows, max_tokens):
+        order = list(range(len(lengths)))
+        rnd.shuffle(order)
+        runs = cp.chunk_order(order, lengths, max_rows, max_tokens)
+
+        def fits(run):
+            return (max_rows is None or len(run) <= max_rows) and \
+                (max_tokens is None or len(run) * max(lengths[i] for i in run) <= max_tokens)
+        assert [i for run in runs for i in run] == order
+        assert all(run for run in runs)
+        assert all(len(run) <= (max_rows or len(order)) for run in runs)
+        # a run breaks the token budget only as one over-budget sentence
+        assert all(fits(run) or (len(run) == 1 and lengths[run[0]] > max_tokens)
+                   for run in runs)
+        # no run could have taken the next run's first index
+        assert not any(fits(run + nxt[:1]) for run, nxt in zip(runs, runs[1:]))
+
+    def test_a_run_may_fill_the_budget_exactly(self):
+        assert cp.chunk_order([0, 1, 2, 3], [2, 3, 3, 1], max_tokens=6) == [[0, 1], [2, 3]]
+
+    def test_rows_only_cut_as_slices(self):
+        order = [5, 3, 0, 4, 1, 2, 6]
+        assert cp.chunk_order(order, [9] * 7, 3) == [order[:3], order[3:6], order[6:]]
+
+    @pytest.mark.parametrize("max_rows", [0, -1])
+    def test_rows_below_one_rejected(self, max_rows):
+        with pytest.raises(ContractError, match="batch_size must be >= 1"):
+            cp.chunk_order([0, 1], [2, 2], max_rows)
+
+
 def reference_pad_batch(token_lists, word_vocab=None, char_vocab=None,
                         max_word_len=None, tag_ids=None):
     """The per-token batch builder that `cp.pad_batch` replaced: each

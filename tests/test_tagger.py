@@ -541,6 +541,21 @@ class TestTrainTagger:
         with pytest.raises(ContractError):
             tg.train_tagger([], tg.LabelSet(["O"]), tiny_tagger_config())
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        corpus = toy_ner_corpus(4)
+        with pytest.raises(ContractError, match="batch_size must be >= 1"):
+            tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus),
+                            tiny_tagger_config(), epochs=1, batch_size=batch_size)
+
+    @pytest.mark.parametrize("anchor_coeff, bad", [(0.0, {"lr": -0.1}), (0.0, {"clip_norm": 0.0}),
+                                                   (-1.0, {})])
+    def test_bad_step_settings_rejected(self, anchor_coeff, bad):
+        corpus = toy_ner_corpus(4)
+        with pytest.raises(ContractError, match="must be finite"):
+            tg.train_tagger(corpus, tg.LabelSet.from_sequences(corpus),
+                            tiny_tagger_config(anchor_coeff=anchor_coeff), epochs=1, **bad)
+
 
 def mixed_length_corpus():
     """Sentences of 1 to 7 tokens, in no length order."""
@@ -569,6 +584,21 @@ def batching_model(head, with_provider):
     return model, corpus
 
 
+def decode_calls(monkeypatch):
+    """The sentence lists of every `TaggerModel.decode` call from here on."""
+    calls, decode = [], tg.TaggerModel.decode
+
+    def spy(model, sentences):
+        calls.append(sentences)
+        return decode(model, sentences)
+    monkeypatch.setattr(tg.TaggerModel, "decode", spy)
+    return calls
+
+
+def six_token_sentences(n):
+    return [(s.tokens * 2)[:6] for s in toy_ner_corpus(n)]
+
+
 class TestBatching:
     @pytest.mark.parametrize("with_provider", [False, True])
     @pytest.mark.parametrize("head", ["crf", "softmax"])
@@ -589,15 +619,43 @@ class TestBatching:
 
     @pytest.mark.parametrize("with_provider", [False, True])
     @pytest.mark.parametrize("head", ["crf", "softmax"])
-    def test_batch_predict_equals_one_sentence_predict(self, head, with_provider):
+    def test_batch_predict_equals_one_sentence_predict(self, monkeypatch, head,
+                                                      with_provider):
         model, corpus = batching_model(head, with_provider)
-        sentences = [s.tokens for s in corpus] * 7   # two batches
-        assert len(sentences) > tg.PREDICT_BATCH
+        sentences = [s.tokens for s in corpus] * 7
+        # room for 32 of the longest sentence: the 42 need a second batch
+        monkeypatch.setattr(bilm, "EVAL_TOKENS", 32 * max(map(len, sentences)))
+        calls = decode_calls(monkeypatch)
         batched = tg.predict(sentences, model)
+        assert len(calls) >= 2
         assert [p.tokens for p in batched] == sentences
         assert [p.tags for p in batched] == \
             [tg.predict([s], model)[0].tags for s in sentences]
         assert [p.tags for p in batched] == model.decode(sentences)
+
+    @pytest.mark.parametrize("head", ["crf", "softmax"])
+    def test_forty_short_sentences_decode_as_one_batch(self, monkeypatch, head):
+        model, _ = batching_model(head, True)
+        sentences = six_token_sentences(40)
+        want = [tg.predict([s], model)[0].tags for s in sentences]
+        calls = decode_calls(monkeypatch)
+        assert [p.tags for p in tg.predict(sentences, model)] == want
+        assert [len(c) for c in calls] == [40]
+
+    @pytest.mark.parametrize("budget", [None, 5])
+    def test_an_over_budget_set_decodes_in_several_batches(self, monkeypatch, budget):
+        model, corpus = batching_model("crf", True)
+        if budget is None:     # one six-token sentence past the default budget
+            sentences = six_token_sentences(bilm.EVAL_TOKENS // 6 + 1)
+        else:                  # the 7-token sentence is longer than the budget
+            monkeypatch.setattr(bilm, "EVAL_TOKENS", budget)
+            sentences = [s.tokens for s in corpus]
+        want = [tg.predict([s], model)[0].tags for s in sentences]
+        calls = decode_calls(monkeypatch)
+        assert [p.tags for p in tg.predict(sentences, model)] == want
+        assert len(calls) > 1
+        assert all(len(c) == 1 or len(c) * max(map(len, c)) <= bilm.EVAL_TOKENS
+                   for c in calls)
 
     def test_emissions_of_one_sentence_are_its_batch_row(self):
         model, corpus = batching_model("crf", True)
