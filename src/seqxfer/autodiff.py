@@ -111,16 +111,21 @@ def no_grad():
         _recording = saved
 
 
+def recorded(inputs):
+    """The inputs an op on `inputs` would record a backward to: those that
+    require grad, and none under `no_grad()`.  Empty means no backward."""
+    return tuple(p for p in inputs if p.requires_grad) if _recording else ()
+
+
 def node(data, parents, backward):
     """The one constructor of graph nodes.
 
-    Records only the parents that require grad, and attaches `backward`
-    only when there is at least one; otherwise the result is a constant.
-    Under `no_grad()` it records nothing.  Every op builds its closure
-    before calling this, so no closure can refer to the node it belongs
-    to, and no node is a reference cycle.
+    Records only the `recorded` parents, and attaches `backward` only when
+    there is at least one; otherwise the result is a constant.  Every op
+    builds its closure before calling this, so no closure can refer to the
+    node it belongs to, and no node is a reference cycle.
     """
-    parents = tuple(p for p in parents if p.requires_grad) if _recording else ()
+    parents = recorded(parents)
     out = Tensor(data, requires_grad=bool(parents))
     if parents:
         out._parents = parents

@@ -134,7 +134,7 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     The weight gradients sum over all B*T rows of xs, in its order, with a
     zero dz at each padded pair.
     """
-    B, T, _ = xs.data.shape
+    B, T, D = xs.data.shape
     H = Wh.data.shape[0]
     lengths = prefix_lengths(mask, (B, T))
     order = back = slice(None)
@@ -156,16 +156,20 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
         zs = [Z[s:e] for s, e in itertools.pairwise(starts)]
     else:
         zs = (xs.data @ Wx.data + b.data).transpose(1, 0, 2)
-    acts = np.empty((N, 4 * H))        # gate activations
-    tanh_c = np.empty((N, H))          # tanh of the pair's new cell
-    c_in = np.empty((N, H))            # the pair's incoming cell
+    # with no backward to feed, each step writes rows r of one [B, .] block
+    grad = bool(ad.recorded((xs, Wx, Wh, b)))
+    acts = np.empty((N if grad else B, 4 * H))  # gate activations
+    tanh_c = np.empty((N if grad else B, H))    # tanh of the pair's new cell
+    c_in = np.empty((N, H)) if grad else None   # the pair's incoming cell
     hs = np.empty((B, T, H))           # carried h: the layer's output
     h, c = np.zeros((2, B, H))
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
-        r, p = slice(first[t], None), slice(starts[t], starts[t + 1])
+        r = slice(first[t], None)
+        p = slice(starts[t], starts[t + 1]) if grad else r
         hr, cr = h[r], c[r]
-        c_in[p] = cr
+        if grad:
+            c_in[p] = cr
         a = np.multiply(zs[t] + hr @ Wh.data, scale, out=acts[p])
         np.tanh(a, out=a)
         a *= scale
@@ -178,7 +182,7 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
     hs = hs[back]
 
     def _bw(g):
-        zero = np.zeros((B, 1, H))     # each step's incoming h, in xs order
+        zero = np.zeros((B, min(T, 1), H))  # each step's incoming h, in xs order
         h_prev = np.concatenate([hs[:, 1:], zero] if reverse else [zero, hs[:, :-1]], axis=1)
         i, f = acts[:, :H], acts[:, H:2 * H]
         gg, o = acts[:, 2 * H:3 * H], acts[:, 3 * H:]
@@ -214,7 +218,7 @@ def lstm_forward(xs, mask, Wx, Wh, b, reverse=False):
         if xs.requires_grad:
             xs._accum((dZ @ Wx.data.T).reshape(xs.data.shape))
         if Wx.requires_grad:
-            Wx._accum(xs.data.reshape(B * T, -1).T @ dZ)
+            Wx._accum(xs.data.reshape(B * T, D).T @ dZ)
         if Wh.requires_grad:
             Wh._accum(h_prev.reshape(B * T, H).T @ dZ)
         if b.requires_grad:

@@ -478,6 +478,9 @@ class TaggerModel:
 def predict(sentences, model):
     """Tag sentences (token-string lists or LabeledSequences), decoding
     them in length-sorted batches of up to `bilm.EVAL_TOKENS` padded slots."""
+    sentences = list(sentences)
+    if any(isinstance(s, str) for s in sentences):
+        raise ContractError("a sentence that is a string, not a token list")
     tokens = [s.tokens if isinstance(s, LabeledSequence) else list(s) for s in sentences]
     lengths = [len(t) for t in tokens]
     order = sorted(range(len(tokens)), key=lengths.__getitem__)

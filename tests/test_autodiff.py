@@ -170,6 +170,13 @@ class TestGraphNodes:
         assert op(x, c)._parents == (x,)
         assert op(c, x)._parents == (x,)
 
+    def test_recorded_inputs_are_the_node_parents(self):
+        x, c = ad.parameter("x", np.ones(2)), ad.constant(np.ones(2))
+        assert ad.recorded((c, x, c)) == (x,) == ad.mul(c, x)._parents
+        assert ad.recorded((c, c)) == ()
+        with ad.no_grad():
+            assert ad.recorded((x, c)) == ()
+
     def test_constant_inputs_build_a_constant(self):
         out = ad.mul(ad.constant(np.ones(3)), 2.0)
         assert not out.requires_grad

@@ -2,6 +2,7 @@ import bisect
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -638,6 +639,128 @@ class TestPackedStateOracle:
         padded = grads["xs"][mask == 0.0]
         assert padded.size and (padded == 0.0).all()
         assert (grads["xs"][mask == 1.0] != 0.0).any()
+
+
+def _no_gradient_outputs(arrays, mask, reverse):
+    """The layer's output with no gradient wanted, both ways: trainable
+    inputs under `no_grad()`, and constant inputs outside it."""
+    xs, *weights = (ad.parameter(k, arrays[k]) for k in ("xs", "Wx", "Wh", "b"))
+    with ad.no_grad():
+        quiet = bilm.lstm_forward(xs, mask, *weights, reverse=reverse)
+    xs, *weights = (ad.constant(arrays[k]) for k in ("xs", "Wx", "Wh", "b"))
+    const = bilm.lstm_forward(xs, mask, *weights, reverse=reverse)
+    assert not quiet.requires_grad and not const.requires_grad
+    return quiet.data, const.data
+
+
+class TestNoGradientForward:
+    """With no gradient wanted, `bilm.lstm_forward` keeps no per-pair array
+    for a backward; the graph path is its oracle, bit for bit."""
+
+    # the widths the workloads use; the examples are full T = 1 batches and
+    # ragged batches with zero-length rows, both directions
+    @settings(max_examples=40, deadline=None)
+    @given(lstm_cases(st.sampled_from([64, 178, 400]), st.sampled_from([16, 128, 200])))
+    @example((2, 1, 178, 128, np.ones((2, 1)), True, False, 0))
+    @example((5, 1, 400, 16, np.ones((5, 1)), True, True, 1))
+    @example((4, 6, 178, 128, ragged_mask([2, 6, 0, 4], 6), False, False, 3))
+    @example((5, 7, 64, 200, ragged_mask([0, 3, 0, 7, 5], 7), False, True, 4))
+    def test_matches_graph_path(self, case):
+        arrays, cotangent = _lstm_arrays(case)
+        mask, reverse = case[4], case[6]
+        want, _ = _value_and_grads(bilm.lstm_forward, arrays, mask, cotangent, reverse)
+        for got in _no_gradient_outputs(arrays, mask, reverse):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lstm_cases())
+    @example((4, 6, 3, 8, ragged_mask([2, 6, 0, 4], 6), False, False, 0))
+    @example((4, 6, 3, 8, ragged_mask([2, 6, 0, 4], 6), False, True, 0))
+    def test_reads_no_unwritten_entry(self, case):
+        """Each array the op leaves unfilled starts as NaN: both
+        no-gradient outputs still equal a clean run bit for bit."""
+        arrays, _ = _lstm_arrays(case)
+        mask, reverse = case[4], case[6]
+        want = _no_gradient_outputs(arrays, mask, reverse)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bilm, "np", _NaNEmpty())
+            got = _no_gradient_outputs(arrays, mask, reverse)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("trigger", ["no_grad", "constants"])
+    def test_keeps_no_backward_arrays(self, trigger, reverse):
+        """The peak falls by the bytes of the arrays the BPTT reads, gates
+        [N, 4H], tanh(c) [N, H] and incoming cell [N, H], less the [B, 4H]
+        and [B, H] blocks every step reuses instead.  1 KiB is left for
+        small objects, far below one [N, .] array."""
+        B, T, D, H = 32, 40, 64, 128
+        lengths = T - np.arange(B) % 10      # unsorted, about 11% padding
+        mask = ragged_mask(lengths, T)
+        arrays, _ = _lstm_arrays((B, T, D, H, mask, False, reverse, 7))
+        N = int(lengths.sum())
+        names = ("xs", "Wx", "Wh", "b")
+
+        def peak(make):
+            xs, *weights = (make(k, arrays[k]) for k in names)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                bilm.lstm_forward(xs, mask, *weights, reverse=reverse)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        peak(ad.parameter)                   # warm the cached gate constants
+        graph = peak(ad.parameter)
+        if trigger == "no_grad":
+            with ad.no_grad():
+                quiet = peak(ad.parameter)
+        else:
+            quiet = peak(lambda _, a: ad.constant(a))
+        assert graph - quiet >= (6 * N - 5 * B) * H * 8 - 1024
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradient_after_no_gradient_call_matches_finite_differences(self, reverse):
+        rng = np.random.default_rng(8)
+        B, T, D, H = 4, 6, 3, 4
+        mask = ragged_mask([2, 6, 0, 4], T)
+        params = {
+            "xs": ad.parameter("xs", rng.normal(size=(B, T, D))),
+            "Wx": ad.parameter("Wx", ad.seeded_init((D, 4 * H), 9)),
+            "Wh": ad.parameter("Wh", ad.seeded_init((H, 4 * H), 10)),
+            "b": ad.parameter("b", rng.normal(size=4 * H) * 0.3),
+        }
+        cotangent = rng.normal(size=(B, T, H))
+
+        def loss_fn():
+            args = (params["xs"], mask, params["Wx"], params["Wh"], params["b"])
+            with ad.no_grad():
+                quiet = bilm.lstm_forward(*args, reverse=reverse)
+            out = bilm.lstm_forward(*args, reverse=reverse)
+            assert np.array_equal(quiet.data, out.data)
+            return (out * cotangent).sum()
+
+        assert ad.finite_difference_check(loss_fn, params) < 1e-4
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("B, T", [(0, 5), (3, 0)])
+    def test_backward_gives_zero_gradients(self, B, T, reverse):
+        rng = np.random.default_rng(0)
+        D, H = 4, 3
+        params = {"xs": ad.parameter("xs", np.zeros((B, T, D))),
+                  "Wx": ad.parameter("Wx", rng.normal(size=(D, 4 * H))),
+                  "Wh": ad.parameter("Wh", rng.normal(size=(H, 4 * H))),
+                  "b": ad.parameter("b", rng.normal(size=4 * H))}
+        out = bilm.lstm_forward(params["xs"], np.ones((B, T)), params["Wx"],
+                                params["Wh"], params["b"], reverse=reverse)
+        assert out.data.shape == (B, T, H)
+        grads = ad.reverse_gradients(out.sum(), params)
+        for name, p in params.items():
+            assert grads[name].shape == p.data.shape
+            assert not grads[name].any(), name
 
 
 class TestLSTM:

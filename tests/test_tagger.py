@@ -364,6 +364,21 @@ class TestTaggerModel:
         with pytest.raises(ContractError, match="not a nonempty token list"):
             model.decode(corpus[0].tokens)
 
+    @pytest.mark.parametrize("sentences", [["si Bakoro"], [["si", "Bakoro"], "di Medan"]])
+    def test_string_sentence_rejected_by_predict(self, monkeypatch, sentences):
+        """A string is refused, not tagged character by character."""
+        model, _ = batching_model("crf", False)
+        calls = decode_calls(monkeypatch)
+        with pytest.raises(ContractError, match="not a token list"):
+            tg.predict(sentences, model)
+        assert calls == []
+
+    def test_predict_reads_a_generator_once(self):
+        model, corpus = batching_model("crf", False)
+        sentences = [s.tokens for s in corpus]
+        want = [p.tags for p in tg.predict(sentences, model)]
+        assert [p.tags for p in tg.predict((s for s in sentences), model)] == want
+
     def test_forbidden_transitions_have_zero_gradient(self):
         corpus = toy_ner_corpus(4)
         labels = tg.LabelSet(["O", "B-PER", "I-PER", "B-LOC"])
