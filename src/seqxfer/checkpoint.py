@@ -158,9 +158,13 @@ def _read_manifest(fh, path):
     index = doc.get("tensor_index") if isinstance(doc, dict) else None
     if not isinstance(index, list):
         raise DataError(f"{path}: manifest has no tensor_index list")
+    names = set()
     for entry in index:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
                 and all(type(n) is int and n >= 0 for n in entry["shape"])):
             raise DataError(f"{path}: malformed tensor_index entry {entry!r:.80}")
+        if entry["name"] in names:
+            raise DataError(f"{path}: tensor_index names tensor {entry['name']!r} twice")
+        names.add(entry["name"])
     return doc

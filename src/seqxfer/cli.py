@@ -17,7 +17,7 @@ from . import bilm as bilm_mod
 from . import corpus as corpus_mod
 from . import evaluation, tagger as tagger_mod, transfer as transfer_mod
 from .checkpoint import Checkpoint
-from .encoder import CharEncoderConfig, size
+from .encoder import CharEncoderConfig
 from .errors import ContractError, DataError, NumericError, TransferError
 
 
@@ -57,13 +57,11 @@ class RunConfig:
             "encoder": encoder, "lm_hidden": self.lm_hidden, "lm_layers": self.lm_layers})
 
     def tagger_config(self, head="crf", anchor=0.0):
-        for key in ("d_word", "hidden", "layers"):
-            _checked(size, getattr(self, key), key)
-        return tagger_mod.TaggerConfig(
+        return _checked(tagger_mod.TaggerConfig.from_dict, dict(
             d_word=self.d_word, hidden=self.hidden, layers=self.layers,
             dropout=self.dropout, head=head,
             freeze_word_emb=bool(self.freeze_word_emb),
-            unk_rate=self.unk_rate, anchor_coeff=anchor)
+            unk_rate=self.unk_rate, anchor_coeff=anchor))
 
 
 def _int_list(text):
@@ -79,7 +77,7 @@ def _int_list(text):
 
 
 def _checked(build, *args):
-    """build(*args), with the ValueError of a bad size as a DataError."""
+    """build(*args), with the ValueError of a bad value as a DataError."""
     try:
         return build(*args)
     except ValueError as exc:
@@ -254,7 +252,7 @@ def cmd_pretrain_lm(args, cfg):
 
 def cmd_finetune_lm(args, cfg):
     src = Checkpoint.load(args.init)
-    target = _read_corpus(args.corpus[0])
+    target = _read_corpus(args.corpus)
     target_vocab = corpus_mod.build_vocab(target, min_count=cfg.min_count)
     surgered = bilm_mod.replace_vocab_head(src, target_vocab, cfg.seed)
     ck = bilm_mod.train_lm(
@@ -266,8 +264,12 @@ def cmd_finetune_lm(args, cfg):
     return 0
 
 
-def cmd_train_tagger(args, cfg, default_head):
-    head = args.head or default_head
+def cmd_train_tagger(args, cfg):
+    if args.policy and not args.init:
+        print(f"seqxfer {args.command}: error: argument --policy: needs a tagger "
+              "--init to transfer from", file=sys.stderr)
+        return 2
+    head = args.head or ("crf" if args.command == "train-ner" else "softmax")
     bio = head == "crf"
     train, labels, word_vocab = _read_train(args.train, bio, cfg.min_count)
     dev, test = (_read_tagged(path, bio) if path else None
@@ -277,6 +279,8 @@ def cmd_train_tagger(args, cfg, default_head):
     if args.init:
         src = Checkpoint.load(args.init)
         if src.architecture["kind"] == "bilm":
+            if args.policy:
+                raise DataError(f"{args.init}: --policy needs a tagger --init, not a BiLM")
             provider = tagger_mod.ContextualProvider.from_checkpoint(src)
             anchor = cfg.anchor_l2
         else:
@@ -337,14 +341,13 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_analyze(args, cfg):
-    a, b = (_read_tagged(path, False) for path in (args.corpus[0], args.test))
-    print(evaluation.overlap_report(a, b, name_a=args.corpus[0], name_b=args.test),
-          end="")
+    a, b = (_read_tagged(path, False) for path in (args.corpus, args.test))
+    print(evaluation.overlap_report(a, b, name_a=args.corpus, name_b=args.test), end="")
     return 0
 
 
 def cmd_convert_bio(args, cfg):
-    sentences = _read_tagged(args.corpus[0], False)
+    sentences = _read_tagged(args.corpus, False)
     converted = [corpus_mod.LabeledSequence(
         s.tokens, corpus_mod.contiguous_to_bio(s.tags)) for s in sentences]
     corpus_mod.write_conll(converted, args.out)
@@ -357,50 +360,49 @@ def cmd_convert_bio(args, cfg):
 # the config key that --epochs sets, by command; the taggers' is `epochs`
 EPOCHS_KEY = {"pretrain-lm": "lm_epochs", "finetune-lm": "finetune_epochs"}
 
-# command -> (handler, flags it cannot run without)
+_TAGGER_FLAGS = "config seed epochs patience head init train! dev test vectors policy out!"
+
+# command -> (handler, the flags it reads); `!` marks a required flag and
+# `+` one the command reads more than once
 COMMANDS = {
-    "pretrain-lm": (cmd_pretrain_lm, ("corpus", "out")),
-    "finetune-lm": (cmd_finetune_lm, ("init", "corpus", "out")),
-    "train-ner": (functools.partial(cmd_train_tagger, default_head="crf"), ("train", "out")),
-    "train-pos": (functools.partial(cmd_train_tagger, default_head="softmax"),
-                  ("train", "out")),
-    "transfer-init": (cmd_transfer_init, ("init", "train", "out")),
-    "evaluate": (cmd_evaluate, ("gold", "pred")),
-    "analyze": (cmd_analyze, ("corpus", "test")),
-    "convert-bio": (cmd_convert_bio, ("corpus", "out")),
+    "pretrain-lm": (cmd_pretrain_lm, "config seed epochs corpus!+ out!".split()),
+    "finetune-lm": (cmd_finetune_lm, "config seed epochs init! corpus! out!".split()),
+    "train-ner": (cmd_train_tagger, _TAGGER_FLAGS.split()),
+    "train-pos": (cmd_train_tagger, _TAGGER_FLAGS.split()),
+    "transfer-init": (cmd_transfer_init, "config seed head init! train! policy out!".split()),
+    "evaluate": (cmd_evaluate, "config gold! pred!".split()),
+    "analyze": (cmd_analyze, "config corpus! test!".split()),
+    "convert-bio": (cmd_convert_bio, "config corpus! out!".split()),
 }
 
+# argparse settings of the flags that take more than a string
+FLAGS = {"seed": {"type": int}, "epochs": {"type": int}, "patience": {"type": int},
+         "head": {"choices": ["crf", "softmax"]}}
 
-FLAGS = (
-    ("--config", {}),
-    ("--seed", {"type": int}),
-    ("--init", {}),
-    ("--corpus", {"action": "append", "default": []}),
-    ("--train", {}),
-    ("--dev", {}),
-    ("--test", {}),
-    ("--vectors", {}),
-    ("--gold", {}),
-    ("--pred", {}),
-    ("--epochs", {"type": int}),
-    ("--patience", {"type": int}),
-    ("--head", {"choices": ["crf", "softmax"]}),
-    ("--out", {}),
-    ("--policy", {}),
-)
+
+class _Once(argparse.Action):
+    """Stores a flag's value; a second one is a usage error."""
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, f"given twice; {parser.prog} reads one")
+        setattr(namespace, self.dest, value)
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser():
-    """A missing required flag is a usage error: argparse names it and
-    exits with code 2 before any work runs.  Built once: building takes
-    milliseconds, and parsing leaves the parser unchanged."""
+    """Each subcommand takes only the flags of its COMMANDS row.  A missing
+    required flag, a flag the command does not read, or a second value of
+    one it reads once is a usage error: argparse names it and exits with
+    code 2 before any work runs.  Built once: building takes milliseconds,
+    and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(prog="seqxfer")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required) in COMMANDS.items():
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        for option, kwargs in FLAGS:
-            p.add_argument(option, required=option[2:] in required, **kwargs)
+        for flag in flags:
+            key = flag.rstrip("!+")
+            p.add_argument(f"--{key}", required="!" in flag,
+                           action="append" if "+" in flag else _Once, **FLAGS.get(key, {}))
     return parser
 
 
@@ -410,14 +412,11 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if len(args.corpus) > 1 and args.command != "pretrain-lm":   # the one that reads many
-        print(f"seqxfer {args.command}: error: argument --corpus: given "
-              f"{len(args.corpus)} times; {args.command} reads one", file=sys.stderr)
-        return 2
-    overrides = {"seed": args.seed, EPOCHS_KEY.get(args.command, "epochs"): args.epochs,
-                 "patience": args.patience}
+    given = vars(args)
+    overrides = {"seed": given.get("seed"), "patience": given.get("patience"),
+                 EPOCHS_KEY.get(args.command, "epochs"): given.get("epochs")}
     try:
-        if args.out:
+        if given.get("out"):
             _check_out(args.out)
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command][0](args, cfg)

@@ -7,8 +7,9 @@ and decodes with Viterbi.  Training and tagging run on padded batches of
 sentences; one sentence is a batch of one.
 """
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .bilm import BiLMConfig, contextual_states, params_from_tensors, tensors_fr
 from .checkpoint import Checkpoint
 from .corpus import (Batch, LabeledSequence, UNK, Vocabulary, batches, build_vocab,
                      chunk_order, prefix_lengths, validate_bio)
+from .encoder import size
 from .errors import ContractError, DataError
 
 FORBIDDEN = -1e4  # fixed score of BIO-illegal transitions
@@ -264,18 +266,33 @@ class TaggerConfig:
     anchor_coeff: float = 0.0  # L2 pull on attached BiLM weights
 
     def to_dict(self):
-        return {"d_word": self.d_word, "hidden": self.hidden,
-                "layers": self.layers, "dropout": self.dropout,
-                "head": self.head, "freeze_word_emb": self.freeze_word_emb,
-                "unk_rate": self.unk_rate, "anchor_coeff": self.anchor_coeff}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        """A ValueError names a head other than crf or softmax."""
+        """A ValueError names the first field whose value is of the wrong
+        type or out of its range."""
         config = cls(**d)
+        for name in ("d_word", "hidden", "layers"):
+            size(getattr(config, name), name)
+        for name in ("dropout", "unk_rate"):
+            value = getattr(config, name)
+            if not (_real(value) and 0 <= value < 1):
+                raise ValueError(f"{name} is {value!r}, not a number in [0, 1)")
+        if not isinstance(config.freeze_word_emb, bool):
+            raise ValueError(f"freeze_word_emb is {config.freeze_word_emb!r}, "
+                             "not true or false")
+        if not (_real(config.anchor_coeff) and math.isfinite(config.anchor_coeff)
+                and config.anchor_coeff >= 0):
+            raise ValueError(f"anchor_coeff is {config.anchor_coeff!r}, "
+                             "not a finite number >= 0")
         if config.head not in ("crf", "softmax"):
             raise ValueError(f"head is {config.head!r}, not 'crf' or 'softmax'")
         return config
+
+
+def _real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -429,10 +446,11 @@ class TaggerModel:
                 - crf_sequence_score(em, trans, batch.tag_ids, batch.mask)).sum()
 
     def decode(self, sentences):
-        """Label lists of a list of token lists, decoded as one padded batch
-        without recording a graph."""
+        """Label lists of sentences (as `token_lists` reads them), decoded as
+        one padded batch without recording a graph."""
+        tokens = token_lists(sentences)
         with ad.no_grad():
-            batch = self.batches(sentences, [range(len(sentences))])[0]
+            batch = self.batches(tokens, [range(len(tokens))])[0]
             em = self.emissions(batch).data
             if self.config.head == "crf":
                 ids = viterbi_decode(em, self.transitions_used().data, batch.mask)
@@ -475,20 +493,28 @@ class TaggerModel:
         return cls(config, ck.word_vocab, labels, params, provider)
 
 
-def predict(sentences, model):
-    """Tag sentences (token-string lists or LabeledSequences), decoding
-    them in length-sorted batches of up to `bilm.EVAL_TOKENS` padded slots."""
+def token_lists(sentences):
+    """The token list of each sentence, given as a token list or as a
+    LabeledSequence (whose tags are not read); a sentence that is a string
+    is a ContractError."""
     sentences = list(sentences)
-    if any(isinstance(s, str) for s in sentences):
-        raise ContractError("a sentence that is a string, not a token list")
-    tokens = [s.tokens if isinstance(s, LabeledSequence) else list(s) for s in sentences]
+    for i, s in enumerate(sentences):
+        if isinstance(s, str):
+            raise ContractError(f"sentence {i} is not a nonempty token list: "
+                                f"{s!r:.30} is a string, not a token list")
+    return [s.tokens if isinstance(s, LabeledSequence) else list(s) for s in sentences]
+
+
+def predict(sentences, model):
+    """Tag sentences (as `token_lists` reads them), decoding them in
+    length-sorted batches of up to `bilm.EVAL_TOKENS` padded slots."""
+    tokens = token_lists(sentences)
     lengths = [len(t) for t in tokens]
     order = sorted(range(len(tokens)), key=lengths.__getitem__)
     tags = [None] * len(tokens)
-    with ad.no_grad():
-        for run in chunk_order(order, lengths, max_tokens=bilm_mod.EVAL_TOKENS):
-            for i, t in zip(run, model.decode([tokens[i] for i in run])):
-                tags[i] = t
+    for run in chunk_order(order, lengths, max_tokens=bilm_mod.EVAL_TOKENS):
+        for i, t in zip(run, model.decode([tokens[i] for i in run])):
+            tags[i] = t
     return [LabeledSequence(t, g) for t, g in zip(tokens, tags)]
 
 

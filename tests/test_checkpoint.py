@@ -138,6 +138,17 @@ class TestMalformedHeader:
         with pytest.raises(DataError, match="m.ckpt: malformed tensor_index"):
             Checkpoint.load(path)
 
+    def test_tensor_named_twice(self, tmp_path):
+        """Both entries' bytes are in the payload, so only the index can
+        show that the first one would be dropped."""
+        path = tmp_path / "m.ckpt"
+        body = (b'{"tensor_index": [{"name": "a", "shape": [3]}, '
+                b'{"name": "a", "shape": [2]}]}')
+        path.write_bytes(_with_header(str(len(body)).encode(), body)
+                         + np.ones(5, dtype="<f8").tobytes())
+        with pytest.raises(DataError, match="m.ckpt: tensor_index names tensor 'a' twice"):
+            Checkpoint.load(path)
+
     def test_huge_declared_shape(self, tmp_path):
         path = tmp_path / "m.ckpt"
         body = b'{"tensor_index": [{"name": "w", "shape": [4611686018427387904, 4]}]}'

@@ -44,6 +44,31 @@ def _run(args):
     return cli.run([str(a) for a in args])
 
 
+# every flag of the CLI, each tried on every command
+OLD_FLAGS = ("config", "seed", "init", "corpus", "train", "dev", "test", "vectors",
+             "gold", "pred", "epochs", "patience", "head", "out", "policy")
+VALUES = {"seed": "1", "epochs": "1", "patience": "1", "head": "crf"}
+
+
+def _reads(command):
+    """The flags `command` reads, as their `--` names without the marks."""
+    return {flag.rstrip("!+") for flag in cli.COMMANDS[command][1]}
+
+
+def _only_read(command, **values):
+    """`--key value` for each of `values` that `command` reads."""
+    return [a for key, value in values.items() if key in _reads(command)
+            for a in (f"--{key}", value)]
+
+
+def _given(command, *keys):
+    """argv after `command`: the flags `keys` and every other flag it
+    requires, each once, with a value that parses."""
+    required = [f.rstrip("!+") for f in cli.COMMANDS[command][1] if "!" in f]
+    return [a for key in [*keys, *(k for k in required if k not in keys)]
+            for a in (f"--{key}", VALUES.get(key, "x"))]
+
+
 class TestConfig:
     def test_file_then_flag_override(self, ws):
         cfg = cli.load_config(ws / "tiny.cfg", {"seed": "7"})
@@ -171,17 +196,22 @@ class TestRequiredFlags:
         assert sorted(p.name for p in ws.iterdir()) == [
             "lm.txt", "test.conll", "tiny.cfg", "train.conll"]
 
-    @pytest.mark.parametrize("argv", [
-        ["finetune-lm", "--init", "x.ckpt", "--corpus", "lm.txt", "--corpus", "lm.txt",
-         "--out", "ft.ckpt"],
-        ["analyze", "--corpus", "train.conll", "--corpus", "test.conll",
-         "--test", "test.conll"],
-        ["convert-bio", "--corpus", "train.conll", "--corpus", "nowhere.conll",
-         "--out", "bio.conll"],
-    ], ids=lambda argv: argv[0])
-    def test_second_corpus_is_2_and_named(self, ws, capsys, monkeypatch, argv):
-        """Only pretrain-lm reads more than one --corpus; the others refuse a
-        second one before reading any file."""
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["finetune-lm", "--init", "x.ckpt", "--corpus", "lm.txt",
+                      "--corpus", "lm.txt", "--out", "ft.ckpt"], "--corpus", id="finetune-lm"),
+        pytest.param(["analyze", "--corpus", "train.conll", "--corpus", "test.conll",
+                      "--test", "test.conll"], "--corpus", id="analyze"),
+        pytest.param(["convert-bio", "--corpus", "train.conll", "--corpus", "nowhere.conll",
+                      "--out", "bio.conll"], "--corpus", id="convert-bio"),
+        *(pytest.param([command, *_given(command, key), f"--{key}", VALUES.get(key, "y")],
+                       f"--{key}", id=f"{command}-{key}")
+          for command, (_, flags) in cli.COMMANDS.items()
+          for key in (f.rstrip("!") for f in flags if not f.endswith("+"))),
+    ])
+    def test_second_corpus_is_2_and_named(self, ws, capsys, monkeypatch, argv, flag):
+        """Only pretrain-lm reads more than one --corpus, and no command reads
+        another flag twice: a second value is refused, naming the flag and
+        the command, before any file is read."""
         def no_reading(*args, **kwargs):
             raise AssertionError("read a file before checking flags")
 
@@ -189,7 +219,8 @@ class TestRequiredFlags:
         monkeypatch.setattr(cli.corpus_mod, "read_lines", no_reading)
         monkeypatch.setattr(cli.Checkpoint, "load", no_reading)
         assert _run(argv) == 2
-        assert "--corpus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: given twice" in err and f"seqxfer {argv[0]}" in err
         assert sorted(p.name for p in ws.iterdir()) == [
             "lm.txt", "test.conll", "tiny.cfg", "train.conll"]
 
@@ -202,6 +233,38 @@ class TestRequiredFlags:
                      "--corpus", ws / "lm.txt", "--epochs", 1]) == 2
         assert "--out" in capsys.readouterr().err
 
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("flag", OLD_FLAGS)
+    def test_command_takes_only_the_flags_it_reads(self, capsys, command, flag):
+        """A flag parses if the command's COMMANDS row lists it; any other is
+        a usage error that names it."""
+        argv = [command, *_given(command, flag)]
+        if flag in _reads(command):
+            assert vars(cli.build_parser().parse_args(argv))[flag] is not None
+        else:
+            assert cli.run(argv) == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err and f"--{flag}" in err
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_is_0_and_lists_the_flags(self, capsys, command):
+        assert cli.run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: seqxfer {command}")
+        assert all(f"--{flag}" in out for flag in _reads(command))
+
+    def test_pretrain_reads_every_corpus(self, ws, capsys):
+        """pretrain-lm trains on its first --corpus; the others add to the
+        shared character vocabulary only."""
+        (ws / "other.txt").write_text("žluť kůň\n")
+        assert _run(["pretrain-lm", "--config", ws / "tiny.cfg", "--corpus", ws / "lm.txt",
+                     "--corpus", ws / "other.txt", "--epochs", 1,
+                     "--out", ws / "lm.ckpt"]) == 0
+        ck = Checkpoint.load(ws / "lm.ckpt")
+        assert "ž" in ck.char_vocab and "alice" in ck.word_vocab
+        assert "kůň" not in ck.word_vocab
 
 
 class TestEvaluateAnalyzeConvert:
@@ -333,6 +396,32 @@ class TestPolicyFile:
         assert message in capsys.readouterr().err
         assert not (ws / "init.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["train-ner", "train-pos"])
+    def test_policy_without_init_is_2_and_named(self, ws, capsys, monkeypatch, command):
+        """There is nothing for a policy to transfer from: the policy file,
+        here one that does not exist, is not read, and nothing trains."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a --policy and no --init")
+
+        monkeypatch.setattr(cli.tagger_mod, "train_tagger", no_training)
+        assert _run([command, "--config", ws / "tiny.cfg", "--train", ws / "train.conll",
+                     "--policy", ws / "nowhere.policy", "--out", ws / "out.ckpt"]) == 2
+        assert "argument --policy: needs a tagger --init" in capsys.readouterr().err
+        assert not (ws / "out.ckpt").exists()
+
+    def test_policy_with_bilm_init_is_1_and_names_it(self, ws, made, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a --policy it dropped")
+
+        (ws / "p.policy").write_text(self.FULL)
+        monkeypatch.setattr(cli.tagger_mod, "train_tagger", no_training)
+        assert _run(["train-ner", "--config", ws / "tiny.cfg", "--init", made / "lm.ckpt",
+                     "--train", ws / "train.conll", "--policy", ws / "p.policy",
+                     "--out", ws / "out.ckpt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {made / 'lm.ckpt'}: ") and "--policy" in err
+        assert not (ws / "out.ckpt").exists()
+
     @settings(max_examples=150, deadline=None)
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
     def test_arbitrary_text_parses_or_raises_data_error(self, tmp_path_factory, text):
@@ -439,7 +528,7 @@ class TestTaggerCheckpointArchitecture:
         ck.save(ws / "bad.ckpt")
         capsys.readouterr()
         assert _run([command, "--config", ws / "tiny.cfg", "--init", ws / "bad.ckpt",
-                     "--train", ws / "train.conll", "--epochs", 1,
+                     "--train", ws / "train.conll", *_only_read(command, epochs=1),
                      "--out", ws / "out.ckpt"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {ws / 'bad.ckpt'}: ")
         assert not (ws / "out.ckpt").exists()
@@ -657,7 +746,7 @@ def test_malformed_file_is_1_and_named_before_any_work(ws, made, capsys, kind, a
              "TRAIN": ws / "train.conll", "TEST": ws / "test.conll", "LM": ws / "lm.txt"}
     argv = [names.get(a, a) for a in argv]
     if argv[0] != "evaluate":
-        argv += ["--config", ws / "tiny.cfg", "--epochs", 1, "--out", ws / "out.ckpt"]
+        argv += _only_read(argv[0], config=ws / "tiny.cfg", epochs=1, out=ws / "out.ckpt")
     capsys.readouterr()
     assert _run(argv) == 1
     out, err = capsys.readouterr()

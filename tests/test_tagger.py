@@ -373,6 +373,23 @@ class TestTaggerModel:
             tg.predict(sentences, model)
         assert calls == []
 
+    @pytest.mark.parametrize("shape", ["tokens", "labeled", "mixed"])
+    def test_decode_reads_only_tokens(self, shape):
+        """A LabeledSequence gives its tokens; its tags, here ones the model
+        does not know, are not read."""
+        model, corpus = batching_model("crf", False)
+        tokens = [s.tokens for s in corpus]
+        labeled = [LabeledSequence(s.tokens, ["B-ORG"] * len(s)) for s in corpus]
+        sentences = {"tokens": tokens, "labeled": labeled,
+                     "mixed": [t if i % 2 else l for i, (t, l)
+                               in enumerate(zip(tokens, labeled))]}[shape]
+        assert model.decode(sentences) == model.decode(tokens)
+
+    def test_string_sentence_rejected_by_decode(self):
+        model, corpus = batching_model("crf", False)
+        with pytest.raises(ContractError, match="sentence 1 is .* a string"):
+            model.decode([corpus[0].tokens, "di Medan"])
+
     def test_predict_reads_a_generator_once(self):
         model, corpus = batching_model("crf", False)
         sentences = [s.tokens for s in corpus]
@@ -483,6 +500,32 @@ class TestTaggerModel:
             ck.tensors[name] = value
         with pytest.raises(DataError, match=re.escape(message)):
             tg.TaggerModel.from_checkpoint(ck)
+
+    def test_malformed_config_in_saved_checkpoint_is_named(self, tmp_path):
+        corpus = toy_ner_corpus(4)
+        model = tg.TaggerModel.init(tiny_tagger_config(),
+                                    build_vocab([s.tokens for s in corpus]),
+                                    tg.LabelSet.from_sequences(corpus), 0)
+        ck = model.to_checkpoint()
+        ck.architecture["config"]["layers"] = 0
+        ck.save(tmp_path / "bad.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: .*layers is 0"):
+            tg.read_tagger(Checkpoint.load(bad))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d_word", 0), ("d_word", 12.0), ("hidden", 3.0), ("hidden", "16"),
+    ("layers", True), ("layers", 0), ("dropout", "x"), ("dropout", 1.0),
+    ("dropout", float("nan")), ("unk_rate", -1), ("unk_rate", None),
+    ("freeze_word_emb", 1), ("freeze_word_emb", "false"), ("anchor_coeff", -0.5),
+    ("anchor_coeff", float("inf")), ("anchor_coeff", "0"), ("head", "xyz"),
+])
+def test_tagger_config_from_dict_rejects_bad_values(key, value):
+    d = tiny_tagger_config().to_dict()
+    d[key] = value
+    with pytest.raises(ValueError, match=key):
+        tg.TaggerConfig.from_dict(d)
 
 
 class TestTrainTagger:
