@@ -48,21 +48,22 @@ class BiLMConfig:
 
 def lstm_table(base, d_in, H):
     """One LSTM layer's rows: the forget-gate quarter of the bias starts at 1."""
-    return [(f"{base}.Wx", (d_in, 4 * H), None), (f"{base}.Wh", (H, 4 * H), None),
-            (f"{base}.b", (4 * H,), np.repeat([0.0, 1.0, 0.0, 0.0], H))]
+    yield f"{base}.Wx", (d_in, 4 * H), None
+    yield f"{base}.Wh", (H, 4 * H), None
+    yield f"{base}.b", (4 * H,), np.repeat([0.0, 1.0, 0.0, 0.0], H)
 
 
 def bilm_table(config, n_chars, n_words):
     """(name, shape, fill) rows of every BiLM parameter in init order; the
     two softmax-head rows (HEAD_PARAMS) come last."""
     H, d = config.lm_hidden, config.d_out
-    table = char_encoder_table(config.encoder, n_chars)
+    yield from char_encoder_table(config.encoder, n_chars)
     for direction in DIRECTIONS:
         for layer in range(config.lm_layers):
             base = f"lm.{direction}.l{layer}"
-            table += lstm_table(base, d, H)
-            table += [(f"{base}.proj.W", (H, d), None), (f"{base}.proj.b", (d,), 0.0)]
-    return table + [("lm.head.W", (n_words, d), None), ("lm.head.b", (n_words,), 0.0)]
+            yield from lstm_table(base, d, H)
+            yield from [(f"{base}.proj.W", (H, d), None), (f"{base}.proj.b", (d,), 0.0)]
+    yield from [("lm.head.W", (n_words, d), None), ("lm.head.b", (n_words,), 0.0)]
 
 
 def init_bilm_params(config, n_chars, n_words, seed):
@@ -359,27 +360,32 @@ def anchor_penalty(params, anchors, coeff):
     return ad.node(total * coeff, tensors, _bw)
 
 
-def training_step(params, lm_params, anchor_coeff, clip_norm, lr):
-    """The Adam step of both trainers, as `step(loss)`: with anchor_coeff
-    > 0 it adds the pull of the non-head `lm_params` toward their values
-    now, then updates `params` in place from their clipped gradients."""
+def fit(params, lm_params, epochs, epoch_batches, loss_of, *, lr, clip_norm,
+        anchor_coeff, log_fn, key):
+    """Both trainers' epoch loop: logs and yields each epoch's mean loss.  For
+    each item of `epoch_batches(epoch)`, `loss_of(item)` gives (loss, its share
+    of the loss sum, its count); the step adds the pull of the non-head `lm_params`
+    to their start values if anchor_coeff > 0, then Adam steps on clipped grads."""
     if not all(math.isfinite(v) for v in (lr, clip_norm, anchor_coeff)) \
             or lr <= 0.0 or clip_norm <= 0.0 or anchor_coeff < 0.0:
         raise ContractError(f"lr and clip_norm must be finite and > 0, anchor_coeff finite and "
                             f">= 0; got {lr!r}, {clip_norm!r}, {anchor_coeff!r}")
-    anchors = {}
-    if anchor_coeff > 0.0:
-        anchors = {name: p.data.copy() for name, p in lm_params.items()
-                   if name not in HEAD_PARAMS}
+    anchors = {name: p.data.copy() for name, p in lm_params.items()
+               if anchor_coeff > 0.0 and name not in HEAD_PARAMS}
     opt = Adam(lr=lr)
-
-    def step(loss):
-        if anchors:
-            loss = loss + anchor_penalty(lm_params, anchors, anchor_coeff)
-        grads = reverse_gradients(loss, params)
-        grads, _ = clip_by_global_norm(grads, clip_norm)
-        opt.step(params, grads)
-    return step
+    for epoch in range(epochs):
+        total, count = 0.0, 0
+        for item in epoch_batches(epoch):
+            loss, part, n = loss_of(item)
+            total, count = total + part, count + n
+            if anchors:
+                loss = loss + anchor_penalty(lm_params, anchors, anchor_coeff)
+            grads, _ = clip_by_global_norm(reverse_gradients(loss, params), clip_norm)
+            opt.step(params, grads)
+            del loss    # batch k's graph must not outlive its step
+        if log_fn:
+            log_fn(f"epoch={epoch + 1} {key}={total / count:.6f}")
+        yield total / count
 
 
 def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
@@ -402,31 +408,25 @@ def train_lm(corpus, vocab=None, char_vocab=None, config=None, epochs=1, *,
         config = read_bilm(init)
         vocab, char_vocab = init.word_vocab, init.char_vocab
         params = params_from_tensors(init.tensors)
-        provenance = list(init.manifest.get("provenance", []))
-        provenance.append({"event": "continue_training", "epochs": epochs})
+        provenance = [*init.manifest["provenance"],
+                      {"event": "continue_training", "epochs": epochs}]
     else:
         if vocab is None or char_vocab is None or config is None:
             raise ContractError("vocab, char_vocab and config are required without init")
         params = init_bilm_params(config, len(char_vocab), len(vocab), seed)
         provenance = [{"event": "pretrain", "epochs": epochs, "seed": seed}]
 
-    step = training_step(params, params, anchor_coeff, clip_norm, lr)
-    epoch_losses = []
-    for epoch in range(epochs):
-        batches = lm_batches(corpus, vocab, char_vocab, batch_size,
-                             config.encoder.max_word_len,
-                             seed=seed * 100003 + epoch)
-        total, count = 0.0, 0
-        for batch in batches:
-            loss = bilm_loss(batch, params, config)
-            total += float(loss.data) * batch.n_tokens
-            count += batch.n_tokens
-            step(loss)
-            del loss    # batch k's graph must not outlive its step
-        epoch_losses.append(total / count)
-        if log_fn:
-            log_fn(f"epoch={epoch + 1} lm_train_loss={epoch_losses[-1]:.6f}")
+    def epoch_batches(epoch):
+        return lm_batches(corpus, vocab, char_vocab, batch_size,
+                          config.encoder.max_word_len, seed=seed * 100003 + epoch)
 
+    def loss_of(batch):
+        loss = bilm_loss(batch, params, config)
+        return loss, float(loss.data) * batch.n_tokens, batch.n_tokens
+
+    epoch_losses = list(fit(params, params, epochs, epoch_batches, loss_of, lr=lr,
+                            clip_norm=clip_norm, anchor_coeff=anchor_coeff,
+                            log_fn=log_fn, key="lm_train_loss"))
     return Checkpoint.create(
         "bilm", architecture(config, len(char_vocab), len(vocab)),
         tensors_from_params(params), word_vocab=vocab, char_vocab=char_vocab,
@@ -437,16 +437,14 @@ def replace_vocab_head(src, target_vocab, seed):
     """Copy all LM weights bit-exactly but re-create the softmax head
     for a new vocabulary (cross-lingual surgery)."""
     config = read_bilm(src)
-    head = bilm_table(config, len(src.char_vocab), len(target_vocab))[-2:]
+    head = [row for row in bilm_table(config, len(src.char_vocab), len(target_vocab))
+            if row[0] in HEAD_PARAMS]
     tensors = {name: arr.copy() for name, arr in src.tensors.items()}
     tensors.update(tensors_from_params(ad.init_params(head, seed)))
     arch = dict(src.architecture)
     arch["n_words"] = len(target_vocab)
-    provenance = list(src.manifest.get("provenance", []))
-    provenance.append({"event": "replace_vocab_head",
-                       "source": src.digest(),
-                       "replaced": list(HEAD_PARAMS),
-                       "seed": seed})
+    provenance = [*src.manifest["provenance"], {"event": "replace_vocab_head",
+                  "source": src.digest(), "replaced": list(HEAD_PARAMS), "seed": seed}]
     return Checkpoint.create("bilm", arch, tensors, word_vocab=target_vocab,
                              char_vocab=src.char_vocab, provenance=provenance,
-                             metrics=dict(src.manifest.get("metrics", {})))
+                             metrics=src.manifest["metrics"])

@@ -62,14 +62,14 @@ class Checkpoint:
             raise TransferError(f"{self.source} is not a {kind} checkpoint")
         try:
             value, table = read(arch)
+            self.check_tensors(table)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{self.source}: malformed architecture: {exc!r}") from None
-        self.check_tensors(table)
         return value
 
     def check_tensors(self, table):
-        """DataError naming the first row of the parameter table `table`
-        ((name, shape, fill) rows) whose tensor is missing or shaped otherwise."""
+        """DataError naming the first row of the lazy parameter table `table`
+        whose tensor is missing or shaped otherwise, and building no row after it."""
         for name, shape, _ in table:
             if name not in self.tensors:
                 raise DataError(f"{self.source}: no tensor {name!r} "
@@ -140,8 +140,9 @@ class Checkpoint:
 
 
 def _read_manifest(fh, path):
-    """The JSON manifest after the magic line, checked far enough that
-    walking its tensor index cannot fail with anything but DataError."""
+    """The JSON manifest after the magic line, checked far enough that walking
+    its tensor index cannot fail with anything but DataError, and that its
+    provenance ([] if absent) is a list of objects and metrics ({}) an object."""
     line = fh.readline()
     try:
         length = int(line)
@@ -167,4 +168,9 @@ def _read_manifest(fh, path):
         if entry["name"] in names:
             raise DataError(f"{path}: tensor_index names tensor {entry['name']!r} twice")
         names.add(entry["name"])
+    provenance, metrics = doc.setdefault("provenance", []), doc.setdefault("metrics", {})
+    if not (isinstance(provenance, list) and all(isinstance(e, dict) for e in provenance)):
+        raise DataError(f"{path}: manifest provenance is not a list of objects")
+    if not isinstance(metrics, dict):
+        raise DataError(f"{path}: manifest metrics is not an object")
     return doc

@@ -297,7 +297,7 @@ def cmd_train_tagger(args, cfg):
         dev=dev, patience=cfg.patience or None, seed=cfg.seed,
         init_tensors=init_tensors, provider=provider, word_vocab=word_vocab,
         word_vectors=vectors, clip_norm=cfg.clip_norm, log_fn=_emit)
-    provenance = [{"event": "train", "command": "train-ner" if bio else "train-pos",
+    provenance = [{"event": "train", "command": args.command,
                    "seed": cfg.seed, "init": args.init or None}]
     ck = model.to_checkpoint(provenance=provenance, metrics=metrics)
     ck.save(args.out)
@@ -388,6 +388,15 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses, naming itself, a flag it does not read."""
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """Each subcommand takes only the flags of its COMMANDS row.  A missing
@@ -396,7 +405,7 @@ def build_parser():
     code 2 before any work runs.  Built once: building takes milliseconds,
     and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(prog="seqxfer")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:

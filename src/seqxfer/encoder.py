@@ -49,6 +49,8 @@ class CharEncoderConfig:
             raise ValueError("filter_widths and filter_counts must be nonempty "
                              "lists of equal length")
         widths = tuple(size(w, "filter_widths") for w in widths)
+        if len(set(widths)) < len(widths):   # one width, one set of filter names
+            raise ValueError(f"filter_widths is {list(widths)}, which repeats a width")
         counts = tuple(size(n, "filter_counts") for n in counts)
         return cls(size(d["d_char"], "d_char"), widths, counts,
                    size(d["highway_layers"], "highway_layers", least=0),
@@ -64,22 +66,22 @@ def size(value, name, least=1):
 
 
 def char_encoder_table(config, n_chars):
-    """(name, shape, fill) rows of the encoder's parameters in init order;
-    a fill of None is a glorot draw."""
+    """(name, shape, fill) rows of the encoder's parameters in init order,
+    yielded one by one as every table's are; a fill of None is a glorot draw."""
     if len(config.filter_widths) != len(config.filter_counts):
         raise ContractError("filter_widths and filter_counts must align")
     d, y = config.d_char, config.pooled_dim
-    table = [("char_enc.emb", (n_chars, d), None)]
+    yield "char_enc.emb", (n_chars, d), None
     for w, n in zip(config.filter_widths, config.filter_counts):
-        table += [(f"char_enc.conv{w}.W", (w * d, n), None),
-                  (f"char_enc.conv{w}.b", (n,), 0.0)]
+        yield f"char_enc.conv{w}.W", (w * d, n), None
+        yield f"char_enc.conv{w}.b", (n,), 0.0
     for layer in range(config.highway_layers):
         base = f"char_enc.hw{layer}"
         # negative gate bias starts the layer near the carry branch
-        table += [(f"{base}.WT", (y, y), None), (f"{base}.WH", (y, y), None),
-                  (f"{base}.bT", (y,), -1.0), (f"{base}.bH", (y,), 0.0)]
-    return table + [("char_enc.proj.W", (y, config.d_out), None),
-                    ("char_enc.proj.b", (config.d_out,), 0.0)]
+        yield from [(f"{base}.WT", (y, y), None), (f"{base}.WH", (y, y), None),
+                    (f"{base}.bT", (y,), -1.0), (f"{base}.bH", (y,), 0.0)]
+    yield "char_enc.proj.W", (y, config.d_out), None
+    yield "char_enc.proj.b", (config.d_out,), 0.0
 
 
 def char_cnn(ids, params, config):

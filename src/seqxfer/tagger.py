@@ -7,6 +7,7 @@ and decodes with Viterbi.  Training and tagging run on padded batches of
 sentences; one sentence is a batch of one.
 """
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -315,17 +316,16 @@ class ContextualProvider:
 def tagger_table(config, n_words, n_labels, d_ctx):
     """(name, shape, fill) rows of every tagger parameter in init order."""
     H = config.hidden
-    table = [("tagger.word_emb", (n_words, config.d_word), None)]
+    yield "tagger.word_emb", (n_words, config.d_word), None
     d_in = config.d_word + d_ctx
     for layer in range(config.layers):
         for direction in ("fwd", "bwd"):
-            table += bilm_mod.lstm_table(f"tagger.l{layer}.{direction}", d_in, H)
+            yield from bilm_mod.lstm_table(f"tagger.l{layer}.{direction}", d_in, H)
         d_in = 2 * H
-    table += [("tagger.emission.W", (2 * H, n_labels), None),
-              ("tagger.emission.b", (n_labels,), 0.0)]
+    yield "tagger.emission.W", (2 * H, n_labels), None
+    yield "tagger.emission.b", (n_labels,), 0.0
     if config.head == "crf":
-        table.append(("tagger.crf.trans", (n_labels + 2, n_labels + 2), 0.0))
-    return table
+        yield "tagger.crf.trans", (n_labels + 2, n_labels + 2), 0.0
 
 
 def init_tagger_params(config, n_words, n_labels, d_ctx, seed):
@@ -367,7 +367,8 @@ def read_tagger(ck):
         if bcfg:
             # the provider's softmax head is saved but never used, and its
             # vocabulary size is not part of the architecture
-            table += bilm_mod.bilm_table(bcfg, len(ck.char_vocab), 0)[:-2]
+            table = itertools.chain(table, (row for row in bilm_mod.bilm_table(
+                bcfg, len(ck.char_vocab), 0) if row[0] not in bilm_mod.HEAD_PARAMS))
         return (config, labels, bcfg), table
     return ck.read_architecture("tagger", read)
 
@@ -574,37 +575,34 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
     single[[word_vocab.id(t) for t, c in counts.items() if c == 1]] = True
     swap_unk = config.unk_rate > 0.0 and single.any()
 
-    trainable = model.trainable_params()
-    step = bilm_mod.training_step(trainable, provider.params if provider else {},
-                                  config.anchor_coeff, clip_norm, lr)
-    train_losses, dev_scores = [], []
-    best_score, best_epoch, best_state = -1.0, -1, None
-
-    epochs_run = 0
     lengths = [len(s) for s in train]
-    for epoch in range(epochs):
+    def epoch_batches(epoch):   # (batch, rng); rng draws order, UNK swaps, dropout
         rng = np.random.default_rng(seed * 99991 + epoch)
         order = rng.permutation(len(train))
-        total = 0.0
         for batch in model.batches(train, chunk_order(order, lengths, batch_size)):
             if swap_unk:
                 swap = single[batch.word_ids] & (batch.mask == 1.0) \
                     & (rng.random(batch.mask.shape) < config.unk_rate)
                 batch.word_ids = np.where(swap, UNK, batch.word_ids)
-            nll = model.sentence_loss(batch, rng)
-            total += float(nll.data)
-            step(nll / len(batch))
-            del nll     # batch k's graph must not outlive its step
-        epochs_run = epoch + 1
-        train_losses.append(total / len(train))
-        if log_fn:
-            log_fn(f"epoch={epochs_run} train_nll={train_losses[-1]:.6f}")
+            yield batch, rng
 
+    def loss_of(item):
+        nll = model.sentence_loss(*item)
+        return nll / len(item[0]), float(nll.data), len(item[0])
+
+    trainable = model.trainable_params()
+    train_losses, dev_scores = [], []
+    best_score, best_epoch, best_state = -1.0, -1, None
+    for epoch, loss in enumerate(bilm_mod.fit(
+            trainable, provider.params if provider else {}, epochs, epoch_batches, loss_of,
+            lr=lr, clip_norm=clip_norm, anchor_coeff=config.anchor_coeff, log_fn=log_fn,
+            key="train_nll")):
+        train_losses.append(loss)
         if dev is not None:
             score = _dev_score(model, dev)
             dev_scores.append(score)
             if log_fn:
-                log_fn(f"epoch={epochs_run} dev_score={score:.4f}")
+                log_fn(f"epoch={epoch + 1} dev_score={score:.4f}")
             if score > best_score:
                 best_score, best_epoch = score, epoch
                 # the last epoch's weights are the final ones: nothing to copy
@@ -617,7 +615,7 @@ def train_tagger(train, labels, config, *, epochs=10, lr=0.001, batch_size=32,
         for n, p in trainable.items():
             p.data[:] = best_state[n]
 
-    metrics = {"train_loss": train_losses, "epochs_run": epochs_run}
+    metrics = {"train_loss": train_losses, "epochs_run": len(train_losses)}
     if dev is not None:
         metrics["dev_score"] = dev_scores
         metrics["best_epoch"] = best_epoch + 1

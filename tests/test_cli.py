@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,7 @@ class TestFlagTable:
             assert cli.run(argv) == 2
             err = capsys.readouterr().err
             assert "unrecognized arguments" in err and f"--{flag}" in err
+            assert f"seqxfer {command}: error: unrecognized arguments" in err
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help_is_0_and_lists_the_flags(self, capsys, command):
@@ -344,6 +347,49 @@ class TestTrainingPipelines:
             if name.startswith("tagger.l"):
                 assert np.array_equal(ini.tensors[name], src.tensors[name])
         assert "tagger.crf.trans" in ini.tensors
+
+
+class TestTrainingStdout:
+    """The line formats that training prints: the benchmark parses
+    `lm_train_loss=` and `f1 micro`.  Formats only, no digest."""
+
+    LOSS = r"\d+\.\d{6}"
+
+    def _lines(self, capsys, argv):
+        assert _run(argv) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_pretrain_finetune_train_ner_chain(self, ws, capsys):
+        cfg, lm, ft, ner = ws / "tiny.cfg", ws / "lm.ckpt", ws / "ft.ckpt", ws / "ner.ckpt"
+        lm_lines = [rf"epoch={n} lm_train_loss={self.LOSS}" for n in (1, 2)]
+        for argv, out in ((["pretrain-lm", "--corpus", ws / "lm.txt"], lm),
+                          (["finetune-lm", "--init", lm, "--corpus", ws / "lm.txt"], ft)):
+            lines = self._lines(capsys, [*argv, "--config", cfg, "--epochs", 2, "--out", out])
+            assert len(lines) == 3 and lines[2] == f"checkpoint {out}"
+            assert all(re.fullmatch(p, line) for p, line in zip(lm_lines, lines))
+        lines = self._lines(capsys, ["train-ner", "--config", cfg, "--init", ft,
+                                     "--train", ws / "train.conll", "--dev", ws / "test.conll",
+                                     "--test", ws / "test.conll", "--epochs", 2,
+                                     "--out", ner])
+        want = [rf"epoch={n} {key}" for n in (1, 2)
+                for key in (f"train_nll={self.LOSS}", r"dev_score=\d\.\d{4}")]
+        assert all(re.fullmatch(p, line) for p, line in zip(want, lines))
+        assert lines[4] == f"checkpoint {ner}"
+        scores = lines[5:]
+        assert len(scores) % 3 == 0 and scores[-1].startswith("f1 micro ")
+        assert all(re.fullmatch(r"(precision|recall|f1) \S+ \d+\.\d{2}", line)
+                   for line in scores)
+
+
+@pytest.mark.parametrize("command, head", [("train-ner", None), ("train-ner", "softmax"),
+                                           ("train-pos", None), ("train-pos", "crf")])
+def test_provenance_names_the_command_that_ran(ws, capsys, command, head):
+    """Whatever head it trains, a tagger records the command that ran."""
+    assert _run([command, "--config", ws / "tiny.cfg", "--train", ws / "train.conll",
+                 "--epochs", 1, *(["--head", head] if head else []),
+                 "--out", ws / "out.ckpt"]) == 0
+    capsys.readouterr()
+    assert Checkpoint.load(ws / "out.ckpt").manifest["provenance"][0]["command"] == command
 
 
 def test_failed_report_write_keeps_previous_report(ws, capsys, disk_full):
@@ -509,6 +555,19 @@ class TestCheckpointArchitecture:
         assert err.startswith(f"error: {ws / 'bad.ckpt'}: ")
         assert not (ws / "ner.ckpt").exists() and not (ws / "ft.ckpt").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        *(("provenance", v) for v in (None, -1, 1.5, True, "abc", [1], {})),
+        *(("metrics", v) for v in (None, -1, 1.5, "x", True, []))])
+    def test_mistyped_provenance_or_metrics_is_1_and_named(self, ws, capsys, lm_ck,
+                                                          key, value):
+        """finetune-lm copies both fields into its checkpoint as they are."""
+        lm_ck.manifest[key] = value
+        lm_ck.save(ws / "bad.ckpt")
+        assert self._run_from_bad(ws, "finetune-lm") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {ws / 'bad.ckpt'}: manifest {key} is not")
+        assert not (ws / "ft.ckpt").exists()
+
 
 class TestTaggerCheckpointArchitecture:
     BAD = {
@@ -592,6 +651,7 @@ class TestDirectoryPaths:
 
 @pytest.mark.parametrize("command, line, key", [
     ("pretrain-lm", "filter_widths=1,x", "filter_widths"),
+    ("pretrain-lm", "filter_widths=2,2", "filter_widths"),
     ("pretrain-lm", "lm_hidden=-3", "lm_hidden"),
     ("train-ner", "hidden=-1", "hidden"),
     ("train-ner", "batch_size=0", "batch_size"),

@@ -115,7 +115,7 @@ class TestEncodeWord:
     def test_mismatched_filter_spec_rejected(self):
         config = tiny_encoder_config(filter_widths=(1, 2), filter_counts=(4,))
         with pytest.raises(ContractError):
-            enc.char_encoder_table(config, 20)
+            list(enc.char_encoder_table(config, 20))
 
 
 class TestEncoderGradients:

@@ -49,13 +49,13 @@ def _tagger(seed, provider=None):
 
 class TestTablesMatchInit:
     def test_char_encoder(self):
-        table = enc.char_encoder_table(tiny_encoder_config(), 20)
+        table = list(enc.char_encoder_table(tiny_encoder_config(), 20))
         assert _layout(ad.init_params(table, 3)) == _rows(table)
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_bilm_head_rows_last(self, layers):
         config = tiny_bilm_config(lm_layers=layers)
-        table = bilm.bilm_table(config, 20, 9)
+        table = list(bilm.bilm_table(config, 20, 9))
         assert _layout(bilm.init_bilm_params(config, 20, 9, 3)) == _rows(table)
         assert [name for name, _, _ in table[-2:]] == list(bilm.HEAD_PARAMS)
 
@@ -63,7 +63,7 @@ class TestTablesMatchInit:
     @pytest.mark.parametrize("d_ctx", [0, 32])
     def test_tagger(self, head, d_ctx):
         config = tiny_tagger_config(head=head, layers=2)
-        table = tg.tagger_table(config, 11, 4, d_ctx)
+        table = list(tg.tagger_table(config, 11, 4, d_ctx))
         assert _layout(tg.init_tagger_params(config, 11, 4, d_ctx, 3)) == _rows(table)
         assert ("tagger.crf.trans" in dict(_rows(table))) == (head == "crf")
 
